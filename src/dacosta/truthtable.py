@@ -15,11 +15,15 @@ Two engines share this semantics:
   build_table  materializes rows in canonical depth-first order (display,
                small-scale oracle checks); guarded by a row cap.
   decide       computes the verdict, exact live-row count and a countermodel
-               without materializing rows, by dynamic programming over a
-               liveness-minimizing column order.  Formulas whose tables have
-               astronomically many rows (iterated-consistency towers) stay
-               feasible because only the value combinations of the columns
-               still referenced later are kept.
+               without materializing rows, by dynamic programming over the
+               plain postorder of the goal and premises (no search for a
+               narrower order).  Formulas whose tables have astronomically
+               many rows (iterated-consistency towers) stay feasible because
+               only the value combinations of the columns still referenced
+               later are kept.
+
+Both read a column's cell through one helper, _CellRule.split, which applies
+the restriction to the multioperation cell.
 
 Verdicts, live-row counts and countermodel existence are order-independent
 facts about the constraint system, so the two engines agree everywhere; the
@@ -31,6 +35,8 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from . import algebra
 from .errors import ExtensionError, ResourceLimitError
@@ -79,43 +85,112 @@ class Valuation:
 
 
 # --------------------------------------------------------------------------
-# Column plans
+# Restricted cells and column plans
+
+
+class _CellRule:
+    """The multioperation cell of one kind of column, split by the restriction.
+
+    A kind of column is a connective (None for an atom) plus the restriction
+    hooks tied to it: a column b & ~b is tied to b's column, and a column a^1
+    (= ~(a & ~a)) to a's column when the logic forces descent values.  Its
+    inputs are the values of its source columns in the order
+    (left[, right][, conj base][, pow source]).
+    """
+
+    __slots__ = ("logic", "arity", "table", "full_domain", "conj_cells",
+                 "pow1_values", "successors")
+
+    def __init__(self, logic, conn, has_conj, has_pow):
+        self.logic = logic
+        self.arity = 0 if conn is None else 1 if conn in ("neg", "cons") else 2
+        self.table = None if conn is None else algebra.tables(logic)[conn]
+        self.full_domain = tuple(range(logic.n + 2))
+        self.conj_cells = algebra.forced_conj_cells(logic) if has_conj else None
+        self.pow1_values = algebra.forced_pow1_values(logic) if has_pow else None
+        self.successors = {}
+
+    def split(self, inputs):
+        """(live, pruned) at `inputs`, both in canonical order.
+
+        pruned lists the cell members that the restriction forbids.
+        """
+        arity = self.arity
+        if arity == 0:
+            cell = self.full_domain
+        elif arity == 1:
+            cell = self.table[inputs[0]]
+        else:
+            cell = self.table[inputs[0]][inputs[1]]
+        allowed = None
+        if self.conj_cells is not None:
+            allowed = self.conj_cells[inputs[arity]]
+        if self.pow1_values is not None:
+            forced = self.pow1_values[inputs[-1]]
+            if forced is not None:
+                allowed = {forced} if allowed is None else (allowed & {forced})
+        if allowed is None:
+            return cell, ()
+        live = tuple(v for v in cell if v in allowed)
+        pruned = tuple(v for v in cell if v not in allowed)
+        return live, pruned
+
+    def successor_table(self, is_prem, is_goal):
+        """The shared successor table of this kind of column in a role."""
+        table = self.successors.get((is_prem, is_goal))
+        if table is None:
+            table = self.successors[is_prem, is_goal] = _Successors(
+                self, is_prem, is_goal)
+        return table
+
+
+class _CellRules(dict):
+    """The cell rules of one logic by (connective, conj hook, pow hook)."""
+
+    def __init__(self, logic):
+        super().__init__()
+        self.logic = logic
+        self.forces_pow = any(v is not None
+                              for v in algebra.forced_pow1_values(logic))
+
+    def __missing__(self, key):
+        rule = self[key] = _CellRule(self.logic, *key)
+        return rule
+
+
+# One entry per logic used; each grows only by the column kinds, roles and
+# input combinations that queries reach.
+_cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
 class _Plan:
-    __slots__ = ("logic", "columns", "index", "entries", "n_designated_max",
-                 "goal_ix", "premise_ix", "domain", "conj_cells", "pow1_values",
-                 "full_domain")
+    __slots__ = ("logic", "columns", "index", "entries", "goal_ix", "premise_ix")
 
     def __init__(self, logic, columns, goal=None, premises=()):
         self.logic = logic
         self.columns = columns
         self.index = {f: j for j, f in enumerate(columns)}
-        self.n_designated_max = logic.n  # value indices <= n are designated
-        tab = algebra.tables(logic)
-        self.full_domain = tuple(range(logic.n + 2))
-        self.conj_cells = algebra.forced_conj_cells(logic)
-        self.pow1_values = algebra.forced_pow1_values(logic)
+        rules = _cell_rules(logic)
         entries = []
         for f in columns:
             if f.kind == VAR:
-                kind, table, a_ix, b_ix = 0, None, -1, -1
+                srcs = []
             elif f.kind in (NEG, CONS):
                 if f.kind == CONS and not logic.has_circ:
                     raise ValueError(
                         f"consistency connective not in signature of {logic.name}")
-                kind, table = 1, tab[_CONN_NAME[f.kind]]
-                a_ix, b_ix = self.index[f.left], -1
+                srcs = [self.index[f.left]]
             else:
-                kind, table = 2, tab[_CONN_NAME[f.kind]]
-                a_ix, b_ix = self.index[f.left], self.index[f.right]
-            # Restriction hooks: column b & ~b is tied to b's column; column
-            # a^1 (= ~(a & ~a)) is tied to a's column when the logic forces it.
-            conj_src = self.index[f.conj_base] if f.conj_base is not None else -1
-            pow_src = -1
-            if f.pow_height >= 1 and any(v is not None for v in self.pow1_values):
-                pow_src = self.index[f.left.conj_base]
-            entries.append((kind, table, a_ix, b_ix, conj_src, pow_src))
+                srcs = [self.index[f.left], self.index[f.right]]
+            has_conj = f.conj_base is not None
+            if has_conj:
+                srcs.append(self.index[f.conj_base])
+            has_pow = f.pow_height >= 1 and rules.forces_pow
+            if has_pow:
+                srcs.append(self.index[f.left.conj_base])
+            entries.append((rules[_CONN_NAME.get(f.kind), has_conj, has_pow],
+                            tuple(srcs)))
+        # entries[j] = (cell rule of column j, its source column indices)
         self.entries = entries
         self.goal_ix = self.index[goal] if goal is not None else -1
         self.premise_ix = tuple(self.index[p] for p in premises)
@@ -126,25 +201,8 @@ class _Plan:
         Returns (live_tuple, pruned_tuple); pruned lists cell members removed
         by the restriction, in canonical order.
         """
-        kind, table, a_ix, b_ix, conj_src, pow_src = self.entries[j]
-        if kind == 0:
-            cell = self.full_domain
-        elif kind == 1:
-            cell = table[values[a_ix]]
-        else:
-            cell = table[values[a_ix]][values[b_ix]]
-        allowed = None
-        if conj_src >= 0:
-            allowed = self.conj_cells[values[conj_src]]
-        if pow_src >= 0:
-            forced = self.pow1_values[values[pow_src]]
-            if forced is not None:
-                allowed = {forced} if allowed is None else (allowed & {forced})
-        if allowed is None:
-            return cell, ()
-        live = tuple(v for v in cell if v in allowed)
-        pruned = tuple(v for v in cell if v not in allowed)
-        return live, pruned
+        rule, srcs = self.entries[j]
+        return rule.split([values[s] for s in srcs])
 
 
 def _plan_for(logic, goal, premises):
@@ -203,16 +261,9 @@ def build_table(logic, goal, premises=(), max_rows=DEFAULT_MAX_ROWS,
                     f"table exceeds {max_rows} rows; raise max_rows to materialize")
             return
         live, pruned = plan.candidates(j, values)
-        pruned_set = set(pruned)
-        kind, table, a_ix, b_ix, conj_src, pow_src = plan.entries[j]
-        if kind == 0:
-            cell = plan.full_domain
-        elif kind == 1:
-            cell = table[values[a_ix]]
-        else:
-            cell = table[values[a_ix]][values[b_ix]]
-        for v in cell:
-            if v in pruned_set:
+        # cells are ascending, so sorting the two halves restores cell order
+        for v in sorted(live + pruned) if pruned else live:
+            if v in pruned:
                 if collect_discarded:
                     stub = tuple(values[:j]) + (v,) + (None,) * (ncols - j - 1)
                     rows.append(Row(stub, "discarded"))
@@ -321,133 +372,163 @@ def _postorder(goal, premises):
     return order
 
 
+class _Successors(dict):
+    """Successor table of one column step, filled on first lookup.
+
+    Maps the tuple of the step's input values to (successors, pruned): the
+    live cell values as (v, premise killed, goal flag) triples in canonical
+    order, and how many cell values the restriction forbids.  The goal flag
+    is 1 (designated) or 2 (undesignated) on a goal column, else 0.
+    """
+
+    __slots__ = ("rule", "is_prem", "is_goal")
+
+    def __init__(self, rule, is_prem, is_goal):
+        super().__init__()
+        self.rule = rule
+        self.is_prem = is_prem
+        self.is_goal = is_goal
+
+    def __missing__(self, inputs):
+        live, pruned = self.rule.split(inputs)
+        n = self.rule.logic.n
+        succ = tuple((v, self.is_prem and v > n,
+                      (1 if v <= n else 2) if self.is_goal else 0) for v in live)
+        entry = self[inputs] = (succ, len(pruned))
+        return entry
+
+
+def _getter(slots):
+    """Callable returning the tuple of a state's values at `slots`."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    # a one-index itemgetter returns the bare item, a slice stays a tuple
+    return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
+
+
+def _successor_keys(step, state, succ):
+    """(v, successor key) for the live cell values `succ` of `state`."""
+    _, _, rest, role, alive = step
+    if not role:
+        head = rest(state)
+        return [(v, head + (v,)) for v, _, _ in succ]
+    prem_ok, goal_st = state[0], state[1]
+    vals = rest(state)
+    return [(v, (0 if killed else prem_ok, goal or goal_st) + vals
+             + ((v,) if alive else ())) for v, killed, goal in succ]
+
+
+def _predecessor(step, frontier, target):
+    """The first (state, v) of `frontier`, in frontier and cell order, whose
+    successor key is `target`: the pair that first inserted `target`."""
+    table, inputs, rest, role, _ = step
+    head = target[:-1]
+    for state in frontier:
+        # a plain step's key is rest(state) + (v,)
+        if role or rest(state) == head:
+            for v, key in _successor_keys(step, state, table[inputs(state)][0]):
+                if key == target:
+                    return state, v
+    raise AssertionError("target key has no predecessor")
+
+
 def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     """Decide whether `premises` entail `goal` in `logic`.
 
     Exact over the same table semantics as build_table, but runs a frontier
-    dynamic program over a postorder column order: after a column's last
-    consumer is processed its value is dropped from the state, so only the
-    reachable value combinations of the currently-live columns are stored.
-    stats reports the exact live-row count of the canonical table.
+    dynamic program over the postorder of the goal and premises: after a
+    column's last consumer is processed its value is dropped from the state,
+    so only the reachable value combinations of the currently-live columns
+    are stored.  A state is the flat tuple (premises designated so far,
+    goal flag, values of the live columns), counted by the number of table
+    rows that reach it.
 
-    Raises ResourceLimitError after `max_work` state expansions.
+    Each column step reads its successors from a successor table keyed by
+    the values of its input slots (see _Successors), shared by every query
+    with the same logic, column kind and premise/goal role, and filled only
+    at the input combinations reached.  The frontier of every column is
+    kept; a countermodel is read off by walking back from the first
+    violating final state, taking at each column the first (state, value)
+    pair, in frontier order and cell order, that leads to the current key.
+
+    stats reports the exact live-row count of the canonical table
+    (rows_live), the rows cut by the restriction in this column order
+    (rows_discarded), and the states expanded (work).  Raises
+    ResourceLimitError when `work` would exceed `max_work`.
     """
     start = time.perf_counter()
     premises = tuple(premises)
     order = _postorder(goal, premises)
     plan = _Plan(logic, order, goal, premises)
     ncols = len(order)
-    n = logic.n
     premise_pos = set(plan.premise_ix)
-    goal_pos = plan.goal_ix
 
-    # last[i] = last position whose candidate computation reads column i.
+    # last[i] = last position whose cell reads column i.
     last = list(range(ncols))
-    for i, (kind, table, a_ix, b_ix, conj_src, pow_src) in enumerate(plan.entries):
-        for src in (a_ix, b_ix, conj_src, pow_src):
-            if src >= 0 and last[src] < i:
+    for i, (_, srcs) in enumerate(plan.entries):
+        for src in srcs:
+            if last[src] < i:
                 last[src] = i
 
-    # alive[i]: positions assigned before i and still needed at or after i.
-    alive = []
-    cur = []
-    slot_of = []  # per position: map position -> slot in the state tuple
-    for i in range(ncols):
-        alive.append(tuple(cur))
-        slot_of.append({p: s for s, p in enumerate(cur)})
-        cur = [p for p in cur if last[p] > i]
-        if last[i] > i:
-            cur.append(i)
-    final_alive = tuple(cur)
-
-    # Transition schema per position: which slots feed the cell lookup, and
-    # which slots of (state + new value) survive into the next state.
+    # State slots 0 and 1 hold the premise and goal flags; then the columns
+    # assigned before i and still needed at or after i, oldest first.  A
+    # surviving new column is always appended last.  A column that is
+    # neither premise nor goal is consumed by a later parent, so it always
+    # survives its own step.  A step is (successor table, input getter,
+    # getter of the kept slots, premise or goal role, new column survives).
     steps = []
+    alive = []
     for i in range(ncols):
-        kind, table, a_ix, b_ix, conj_src, pow_src = plan.entries[i]
-        here = slot_of[i]
-        a_slot = here[a_ix] if a_ix >= 0 else -1
-        b_slot = here[b_ix] if b_ix >= 0 else -1
-        c_slot = here[conj_src] if conj_src >= 0 else -1
-        p_slot = here[pow_src] if pow_src >= 0 else -1
-        nxt = alive[i + 1] if i + 1 < ncols else final_alive
-        width = len(alive[i])
-        keep = tuple(here[p] if p != i else width for p in nxt)
-        steps.append((kind, table, a_slot, b_slot, c_slot, p_slot, keep))
+        rule, srcs = plan.entries[i]
+        slot = {p: 2 + s for s, p in enumerate(alive)}
+        kept = [slot[p] for p in alive if last[p] > i]
+        role = i in premise_pos or i == plan.goal_ix
+        table = rule.successor_table(i in premise_pos, i == plan.goal_ix)
+        rest = _getter(kept) if role else itemgetter(0, 1, *kept)
+        steps.append((table, _getter([slot[s] for s in srcs]), rest, role,
+                      last[i] > i))
+        alive = [p for p in alive if last[p] > i] + ([i] if last[i] > i else [])
 
-    conj_cells = plan.conj_cells
-    pow1_values = plan.pow1_values
-    full_domain = plan.full_domain
-
-    # State: (values of alive columns, premises-designated-so-far,
-    #         goal flag: 0 unassigned / 1 designated / 2 undesignated).
-    frontier = {((), 1, 0): 1}
-    trace = []
+    # frontiers[i] is the frontier entering column i.
+    frontiers = []
+    frontier = {(1, 0): 1}
     work = 0
     pruned_paths = 0
-
-    for i in range(ncols):
-        kind, table, a_slot, b_slot, c_slot, p_slot, keep = steps[i]
-        is_prem = i in premise_pos
-        is_goal = i == goal_pos
-        new_frontier = {}
-        back = {}
-        for (vals, prem_ok, goal_st), count in frontier.items():
-            work += 1
-            if work > max_work:
-                raise ResourceLimitError(
-                    f"decision DP exceeded {max_work} state expansions")
-            if kind == 0:
-                cell = full_domain
-            elif kind == 1:
-                cell = table[vals[a_slot]]
+    for step in steps:
+        work += len(frontier)
+        if work > max_work:
+            raise ResourceLimitError(
+                f"decision DP exceeded {max_work} state expansions")
+        frontiers.append(frontier)
+        table, inputs, rest, role, _ = step
+        nxt = {}
+        get = nxt.get
+        for state, count in frontier.items():
+            succ, npruned = table[inputs(state)]
+            if npruned:
+                pruned_paths += npruned * count
+            if role:
+                for _, key in _successor_keys(step, state, succ):
+                    nxt[key] = get(key, 0) + count
             else:
-                cell = table[vals[a_slot]][vals[b_slot]]
-            allowed = None
-            if c_slot >= 0:
-                allowed = conj_cells[vals[c_slot]]
-            if p_slot >= 0:
-                forced = pow1_values[vals[p_slot]]
-                if forced is not None:
-                    allowed = {forced} if allowed is None else (allowed & {forced})
-            for v in cell:
-                if allowed is not None and v not in allowed:
-                    pruned_paths += count
-                    continue
-                ext = vals + (v,)
-                nvals = tuple(ext[s] for s in keep)
-                nprem = prem_ok
-                if is_prem and v > n:
-                    nprem = 0
-                ngoal = goal_st
-                if is_goal:
-                    ngoal = 1 if v <= n else 2
-                key = (nvals, nprem, ngoal)
-                prev = new_frontier.get(key)
-                if prev is None:
-                    new_frontier[key] = count
-                    back[key] = ((vals, prem_ok, goal_st), v)
-                else:
-                    new_frontier[key] = prev + count
-        frontier = new_frontier
-        trace.append(back)
+                head = rest(state)
+                for v, _, _ in succ:
+                    key = head + (v,)
+                    nxt[key] = get(key, 0) + count
+        frontier = nxt
 
     rows_live = sum(frontier.values())
-    violating = None
-    for key in frontier:
-        if key[1] == 1 and key[2] == 2:
-            violating = key
-            break
+    violating = next(
+        (key for key in frontier if key[0] == 1 and key[1] == 2), None)
     entailed = violating is None
 
     countermodel = None
     if not entailed:
         assignment = {}
-        key = violating
+        target = violating
         for i in range(ncols - 1, -1, -1):
-            prev_key, v = trace[i][key]
-            assignment[order[i]] = v
-            key = prev_key
+            target, assignment[order[i]] = _predecessor(
+                steps[i], frontiers[i], target)
         countermodel = Valuation(logic, assignment)
 
     elapsed = time.perf_counter() - start

@@ -1,5 +1,8 @@
 """Row-branching enumeration, decision procedure and partial-extension."""
 
+import itertools
+import json
+import pathlib
 import random
 
 import pytest
@@ -7,15 +10,24 @@ import pytest
 from conftest import enumerate_formulas, live_rows, random_corpus, row_assignment
 from oracle import oracle_rows
 
-from dacosta.algebra import designated, domain_size, value_names
+from dacosta import truthtable
+from dacosta.algebra import (
+    designated, domain_size, forced_conj_cells, forced_pow1_values, tables,
+    value_names,
+)
 from dacosta.errors import ExtensionError, ResourceLimitError
-from dacosta.formula import C, CILA, MBCCL, Neg, parse, pow, powseq, random_formula
+from dacosta.formula import (
+    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, Neg, parse, parse_logic, pow,
+    powseq, random_formula,
+)
 from dacosta.truthtable import (
     build_table, check_valuation, decide, extend_partial, ordered_subformulas,
     render_table, table_verdict,
 )
 
-C1, C2, C3 = C(1), C(2), C(3)
+C1, C2, C3, C4 = C(1), C(2), C(3), C(4)
+DP_LOGICS = [C1, C2, C3, C4, MBCCL, CILA]
+GOLDEN = pathlib.Path(__file__).parent / "data" / "decide_golden.json"
 PSI = parse("((p & ~p) & ~(p & ~p)) -> ~~p")
 
 # the six-row flagship table, cell-for-cell, in enumeration order
@@ -147,6 +159,13 @@ class TestDecide:
         with pytest.raises(ResourceLimitError):
             decide(C3, parse("(p | q) & (q | r) -> (r | p)"), max_work=5)
 
+    def test_work_cap_boundary(self):
+        goal, premises = parse("(p | q) & (q | r) -> (r | p)"), (parse("~p"),)
+        work = decide(C3, goal, premises).stats["work"]
+        assert decide(C3, goal, premises, max_work=work).stats["work"] == work
+        with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
+            decide(C3, goal, premises, max_work=work - 1)
+
     def test_countermodel_designates_premises(self):
         res = decide(C2, parse("r"), premises=(parse("p -> q"), parse("p")))
         assert not res.entailed
@@ -230,11 +249,127 @@ class TestRenderTable:
 
 class TestAgreementSmall:
     def test_exhaustive_two_connectives(self, logic):
-        for f in enumerate_formulas(2, ("p", "q"), logic.has_circ):
-            entailed, _ = table_verdict(build_table(logic, f))
-            assert entailed == decide(logic, f).entailed
+        formulas = enumerate_formulas(2, ("p", "q"), logic.has_circ)
+        for k, goal in enumerate(formulas):
+            for premises in ((), (formulas[(7 * k + 3) % len(formulas)],)):
+                table = build_table(logic, goal, premises)
+                res = decide(logic, goal, premises)
+                assert res.stats["rows_live"] == len(live_rows(table))
+                entailed, _ = table_verdict(table)
+                assert res.entailed == entailed, (goal.text, premises)
+                if entailed:
+                    assert res.countermodel is None
+                    continue
+                cm = res.countermodel.assignment
+                assert set(cm) == set(table.columns)
+                assert check_valuation(logic, cm) == []
+                assert all(cm[p] <= logic.n for p in premises)
+                assert cm[goal] > logic.n
 
     def test_random_corpus_verdicts_stable(self, logic):
         for f in random_corpus(logic, 30, 7, seed=13):
             r1, r2 = decide(logic, f), decide(logic, f)
             assert r1.entailed == r2.entailed
+
+
+# Column shapes whose successor tables are checked: atom, every connective,
+# the b & ~b hook and the a^1 hook.
+SHAPES = ["p", "~p", "@p", "p & q", "p | q", "p -> q", "p & ~p", "~(p & ~p)"]
+CONN = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
+
+
+def expected_successors(lg, f, inputs, is_prem, is_goal):
+    """(successors, pruned count) of column f at inputs, from algebra alone."""
+    tab = tables(lg)
+    if f.kind == VAR:
+        cell = tuple(range(lg.n + 2))
+    elif f.kind in (NEG, CONS):
+        cell = tab[CONN[f.kind]][inputs[0]]
+    else:
+        cell = tab[CONN[f.kind]][inputs[0]][inputs[1]]
+    allowed = set(cell)
+    if f.conj_base is not None:
+        conj = forced_conj_cells(lg)[inputs[2]]
+        if conj is not None:
+            allowed &= conj
+    if f.pow_height >= 1:
+        forced = forced_pow1_values(lg)[inputs[-1]]
+        if forced is not None:
+            allowed &= {forced}
+    succ = tuple((v, is_prem and v > lg.n,
+                  (1 if v <= lg.n else 2) if is_goal else 0)
+                 for v in cell if v in allowed)
+    return succ, len(cell) - len(succ)
+
+
+class TestSuccessorTables:
+    @pytest.mark.parametrize("lg", DP_LOGICS, ids=[lg.name for lg in DP_LOGICS])
+    def test_entries_match_cells(self, lg):
+        hooked = {"conj": 0, "pow": 0}
+        for text in SHAPES:
+            if "@" in text and not lg.has_circ:
+                continue
+            f = parse(text)
+            plan = truthtable._Plan(lg, ordered_subformulas(f))
+            j = plan.index[f]
+            rule, srcs = plan.entries[j]
+            assert plan.entries[j][0] is truthtable._Plan(
+                lg, ordered_subformulas(f)).entries[j][0]
+            hooked["conj"] += rule.conj_cells is not None
+            hooked["pow"] += rule.pow1_values is not None
+            distinct = sorted(set(srcs))
+            for combo in itertools.product(range(lg.n + 2), repeat=len(distinct)):
+                values = [None] * len(plan.columns)
+                for s, v in zip(distinct, combo):
+                    values[s] = v
+                inputs = tuple(values[s] for s in srcs)
+                live, pruned = plan.candidates(j, values)
+                for is_prem, is_goal in itertools.product((False, True), repeat=2):
+                    succ, npruned = rule.successor_table(is_prem, is_goal)[inputs]
+                    assert (succ, npruned) == expected_successors(
+                        lg, f, inputs, is_prem, is_goal), (text, inputs)
+                    assert tuple(v for v, _, _ in succ) == live
+                    assert npruned == len(pruned)
+        assert hooked["conj"] == 1
+        assert hooked["pow"] == (1 if lg.family == "C" and lg.n >= 2 else 0)
+
+    def test_fills_only_reached_entries(self):
+        lg = C(40)
+        truthtable._cell_rules.cache_clear()
+        res = decide(lg, parse("p & ~p"))
+        assert not res.entailed
+        neg = tables(lg)["neg"]
+        rules = truthtable._cell_rules(lg)
+        filled = {key: {role: set(table) for role, table in rule.successors.items()}
+                  for key, rule in rules.items()}
+        assert filled == {
+            (None, False, False): {(False, False): {()}},
+            ("neg", False, False): {(False, False): {(a,) for a in range(42)}},
+            ("and", True, False): {(False, True): {
+                (a, b, a) for a in range(42) for b in neg[a]}},
+        }
+        assert sum(len(neg[a]) for a in range(42)) < 42 ** 2
+
+
+class TestDecideGolden:
+    """decide against results recorded from the DP before its column steps
+    were compiled into successor tables (see the file's "about" field)."""
+
+    def test_matches_recorded_results(self):
+        golden = json.loads(GOLDEN.read_text())["queries"]
+        assert len(golden) == 300
+        for q in golden:
+            lg = parse_logic(q["logic"])
+            goal = parse(q["goal"], lg)
+            premises = tuple(parse(p, lg) for p in q["premises"])
+            res = decide(lg, goal, premises)
+            got = {
+                "entailed": res.entailed,
+                "rows_live": res.stats["rows_live"],
+                "rows_discarded": res.stats["rows_discarded"],
+                "work": res.stats["work"],
+                "countermodel": None if res.countermodel is None else {
+                    f.text: v for f, v in res.countermodel.items()},
+            }
+            want = {k: q[k] for k in got}
+            assert got == want, (q["logic"], q["goal"], q["premises"])
