@@ -6,9 +6,13 @@
     dacosta tables --logic C2
     dacosta axioms --logic Cila --instances 5 --seed 7 --out corpus.txt
 
-Exit codes: 0 entailed/valid, 1 not entailed, 2 usage or parse error,
-3 resource cap exceeded, 4 the two decision methods disagreed (a bug signal;
-the run emits a diagnostic instead of silently picking a winner).
+Every query takes one path: `answer` runs the chosen engines once and
+cross-checks their verdicts, then `run` writes the --emit-* files and prints
+the answer as text or JSON; `decide --stdin` prints one line per goal.
+
+Exit codes: 0 entailed/valid, 1 not entailed, 2 usage, parse or output-path
+error, 3 resource cap exceeded, 4 the two decision methods disagreed (a bug
+signal; the run emits a diagnostic instead of silently picking a winner).
 
 Caps come from flags or the environment: DACOSTA_MAX_ROWS (table rows),
 DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
@@ -17,15 +21,14 @@ DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import algebra, axioms, tableau, truthtable
-from .errors import DacostaError, ParseError, ResourceLimitError
+from .errors import DacostaError, ResourceLimitError
 from .formula import parse, parse_logic
 
 EXIT_ENTAILED = 0
@@ -33,6 +36,14 @@ EXIT_NOT_ENTAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
+
+# Errors that print as `dacosta: ...` (an `error` line in batch mode), not as a
+# traceback: bad formulas, logics, caps and flags, and unwritable output paths.
+_REPORTED = (DacostaError, ValueError, OSError)
+
+
+def _exit_code(exc):
+    return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
 
 
 @dataclass
@@ -53,24 +64,65 @@ class RunConfig:
     stats: bool = False
 
 
-def _env_cap(name, default):
+def _cap(flag, name, default):
+    """The flag's value, else the environment variable's, else the default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"environment variable {name} must be an integer, got {raw!r}")
+        raise DacostaError(
+            f"environment variable {name} must be an integer, got {raw!r}") from None
 
 
 def _caps(cfg):
-    max_rows = cfg.max_rows if cfg.max_rows is not None else \
-        _env_cap("DACOSTA_MAX_ROWS", truthtable.DEFAULT_MAX_ROWS)
-    max_nodes = cfg.max_nodes if cfg.max_nodes is not None else \
-        _env_cap("DACOSTA_MAX_NODES", tableau.DEFAULT_MAX_NODES)
-    max_work = cfg.max_work if cfg.max_work is not None else \
-        _env_cap("DACOSTA_MAX_WORK", truthtable.DEFAULT_MAX_WORK)
-    return max_rows, max_nodes, max_work
+    return (_cap(cfg.max_rows, "DACOSTA_MAX_ROWS", truthtable.DEFAULT_MAX_ROWS),
+            _cap(cfg.max_nodes, "DACOSTA_MAX_NODES", tableau.DEFAULT_MAX_NODES),
+            _cap(cfg.max_work, "DACOSTA_MAX_WORK", truthtable.DEFAULT_MAX_WORK))
+
+
+@dataclass
+class Answer:
+    """One query's cross-checked answer.  `entailed` and `countermodel` are
+    None when the engines disagree; `agree` is None when one engine ran."""
+    entailed: bool
+    agree: bool
+    countermodel: object            # Valuation | None
+    table_result: object            # truthtable.DecisionResult | None
+    tableau_result: object          # tableau.ProveResult | None
+    code: int
+
+
+def answer(config):
+    """Run the configured engines on one query and cross-check their verdicts."""
+    _, max_nodes, max_work = _caps(config)
+    table_result = tableau_result = None
+    if config.method in ("table", "both"):
+        table_result = truthtable.decide(config.logic, config.goal, config.premises,
+                                         max_work=max_work)
+    if config.method in ("tableau", "both"):
+        tableau_result = tableau.prove(
+            config.logic, config.goal, config.premises,
+            use_derived=config.derived_rules,
+            stop_on_open=not config.complete,
+            max_nodes=max_nodes, build_tree=config.emit_tableau is not None)
+
+    agree = None
+    if table_result is not None and tableau_result is not None:
+        agree = table_result.entailed == tableau_result.proved
+        if not agree:
+            return Answer(None, False, None, table_result, tableau_result,
+                          EXIT_DISAGREEMENT)
+    if table_result is not None:
+        entailed, countermodel = table_result.entailed, table_result.countermodel
+    else:
+        entailed, countermodel = tableau_result.proved, tableau_result.countermodel
+    return Answer(entailed, agree, None if entailed else countermodel,
+                  table_result, tableau_result,
+                  EXIT_ENTAILED if entailed else EXIT_NOT_ENTAILED)
 
 
 def _table_json(table):
@@ -95,172 +147,145 @@ def _countermodel_json(valuation):
     return {f.text: names[v] for f, v in pairs}
 
 
+def _emit_files(config, ans):
+    """Write the --emit-table and --emit-tableau files."""
+    if config.emit_table is not None:
+        tab = truthtable.build_table(config.logic, config.goal, config.premises,
+                                     max_rows=_caps(config)[0],
+                                     collect_discarded=config.show_discarded)
+        text = json.dumps(_table_json(tab), indent=2) if config.format == "json" \
+            else truthtable.render_table(tab, config.show_discarded)
+        with open(config.emit_table, "w") as fh:
+            fh.write(text + "\n")
+    if config.emit_tableau is not None:
+        tree = ans.tableau_result.tableau
+        text = json.dumps(tableau.tableau_to_json(tree), indent=2) \
+            if config.format == "json" else tableau.tableau_to_text(tree)
+        with open(config.emit_tableau, "w") as fh:
+            fh.write(text + "\n")
+
+
+def _verdict_word(config, entailed):
+    if config.premises:
+        return "entailed" if entailed else "not entailed"
+    return "valid" if entailed else "invalid"
+
+
+def _report_disagreement(config, ans, err):
+    print("method disagreement: "
+          f"table says {'entailed' if ans.table_result.entailed else 'not entailed'}, "
+          f"tableau says {'proved' if ans.tableau_result.proved else 'not proved'} "
+          f"for {config.goal.text} in {config.logic.name}", file=err)
+    print("this indicates a bug in one of the engines; "
+          "re-run each method separately and report the formula", file=err)
+
+
+def _render_json(config, ans, out, err):
+    """One JSON object on one line."""
+    if ans.agree is False:
+        return _report_disagreement(config, ans, err)
+    stats = {}
+    if ans.table_result is not None:
+        stats["table"] = dict(ans.table_result.stats)
+    if ans.tableau_result is not None:
+        stats["tableau"] = dict(ans.tableau_result.tableau.stats)
+    payload = {
+        "logic": config.logic.name,
+        "goal": config.goal.text,
+        "premises": [p.text for p in config.premises],
+        "method": config.method,
+        "entailed": ans.entailed,
+        "agree": ans.agree,
+        "countermodel": _countermodel_json(ans.countermodel),
+        "stats": stats,
+        "exit": ans.code,
+    }
+    print(json.dumps(payload), file=out)
+
+
+def _render_text(config, ans, out, err):
+    """The multi-line report of one query."""
+    if ans.agree is False:
+        return _report_disagreement(config, ans, err)
+    print(f"logic: {config.logic.name}", file=out)
+    if config.premises:
+        print("premises: " + "; ".join(p.text for p in config.premises), file=out)
+    print(f"goal: {config.goal.text}", file=out)
+    print(f"verdict: {_verdict_word(config, ans.entailed)}", file=out)
+    if ans.agree is not None:
+        print("methods agree (table, tableau)", file=out)
+    if ans.countermodel is not None:
+        print(f"countermodel: {ans.countermodel.render()}", file=out)
+    if config.stats:
+        if ans.table_result is not None:
+            print(f"table stats: {ans.table_result.stats}", file=out)
+        if ans.tableau_result is not None:
+            print(f"tableau stats: {ans.tableau_result.tableau.stats}", file=out)
+
+
+def _render_line(config, ans, line, out):
+    """Batch mode in text format: the verdict and the input line."""
+    word = "disagreement" if ans.agree is False \
+        else _verdict_word(config, ans.entailed)
+    print(f"{word}\t{line}", file=out)
+
+
 def run(config, out=None, err=None):
     """Decide one goal per the config; print a report; return the exit code."""
     out = out or sys.stdout
     err = err or sys.stderr
-    logic = config.logic
-    max_rows, max_nodes, max_work = _caps(config)
+    ans = answer(config)
+    _emit_files(config, ans)
+    render = _render_json if config.format == "json" else _render_text
+    render(config, ans, out, err)
+    return ans.code
 
-    table_result = None
-    tableau_result = None
-    if config.method in ("table", "both"):
-        table_result = truthtable.decide(logic, config.goal, config.premises,
-                                         max_work=max_work)
-    if config.method in ("tableau", "both"):
-        build_tree = config.emit_tableau is not None
-        tableau_result = tableau.prove(
-            logic, config.goal, config.premises,
-            use_derived=config.derived_rules,
-            stop_on_open=not config.complete,
-            max_nodes=max_nodes, build_tree=build_tree)
 
-    if config.emit_table is not None:
-        tab = truthtable.build_table(logic, config.goal, config.premises,
-                                     max_rows=max_rows,
-                                     collect_discarded=config.show_discarded)
-        with open(config.emit_table, "w") as fh:
-            if config.format == "json":
-                json.dump(_table_json(tab), fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(truthtable.render_table(tab, config.show_discarded))
-                fh.write("\n")
-    if config.emit_tableau is not None:
-        with open(config.emit_tableau, "w") as fh:
-            if config.format == "json":
-                json.dump(tableau.tableau_to_json(tableau_result.tableau), fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(tableau.tableau_to_text(tableau_result.tableau))
-                fh.write("\n")
-
-    agree = None
-    if table_result is not None and tableau_result is not None:
-        agree = table_result.entailed == tableau_result.proved
-    if agree is False:
-        print("method disagreement: "
-              f"table says {'entailed' if table_result.entailed else 'not entailed'}, "
-              f"tableau says {'proved' if tableau_result.proved else 'not proved'} "
-              f"for {config.goal.text} in {logic.name}", file=err)
-        print("this indicates a bug in one of the engines; "
-              "re-run each method separately and report the formula", file=err)
-        return EXIT_DISAGREEMENT
-
-    entailed = table_result.entailed if table_result is not None \
-        else tableau_result.proved
-    countermodel = None
-    if not entailed:
-        countermodel = table_result.countermodel if table_result is not None \
-            else tableau_result.countermodel
-
-    code = EXIT_ENTAILED if entailed else EXIT_NOT_ENTAILED
-    if config.format == "json":
-        stats = {}
-        if table_result is not None:
-            stats["table"] = dict(table_result.stats)
-        if tableau_result is not None:
-            stats["tableau"] = dict(tableau_result.tableau.stats)
-        payload = {
-            "logic": logic.name,
-            "goal": config.goal.text,
-            "premises": [p.text for p in config.premises],
-            "method": config.method,
-            "entailed": entailed,
-            "agree": agree,
-            "countermodel": _countermodel_json(countermodel),
-            "stats": stats,
-            "exit": code,
-        }
-        print(json.dumps(payload), file=out)
-        return code
-
-    word = ("entailed" if entailed else "not entailed") if config.premises \
-        else ("valid" if entailed else "invalid")
-    print(f"logic: {logic.name}", file=out)
-    if config.premises:
-        print("premises: " + "; ".join(p.text for p in config.premises), file=out)
-    print(f"goal: {config.goal.text}", file=out)
-    print(f"verdict: {word}", file=out)
-    if agree is not None:
-        print("methods agree (table, tableau)", file=out)
-    if countermodel is not None:
-        print(f"countermodel: {countermodel.render()}", file=out)
-    if config.stats:
-        if table_result is not None:
-            print(f"table stats: {table_result.stats}", file=out)
-        if tableau_result is not None:
-            print(f"tableau stats: {tableau_result.tableau.stats}", file=out)
-    return code
+def _flag_conflict(args):
+    """Why these decide flags cannot run together, or None."""
+    if args.emit_tableau is not None and args.method == "table":
+        return "--emit-tableau needs --method tableau or both"
+    if not args.stdin:
+        return None if args.formula is not None else "provide --formula or --stdin"
+    if args.emit_table is not None or args.emit_tableau is not None:
+        return "--stdin cannot take --emit-table or --emit-tableau"
+    if args.stats and args.format == "text":
+        return "--stdin takes --stats only with --format json"
+    return None
 
 
 def _cmd_decide(args, out, err):
-    logic = parse_logic(args.logic)
-    premises = tuple(
-        parse(chunk, logic)
-        for chunk in (args.premises.split(";") if args.premises else [])
-        if chunk.strip()
-    )
-    base = dict(
-        logic=logic, premises=premises, method=args.method,
-        derived_rules=args.derived_rules, show_discarded=args.show_discarded,
-        format=args.format, max_rows=args.max_rows, max_nodes=args.max_nodes,
-        max_work=args.max_work, emit_table=args.emit_table,
-        emit_tableau=args.emit_tableau, complete=args.complete,
-        stats=args.stats,
-    )
-    if args.stdin:
-        worst = EXIT_ENTAILED
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                goal = parse(line, logic)
-                cfg = RunConfig(goal=goal, **base)
-                code = _run_line(cfg, line, out, err)
-            except ParseError as exc:
-                print(f"error\t{line}\t{exc}", file=err)
-                code = EXIT_USAGE
-            except ResourceLimitError as exc:
-                print(f"error\t{line}\t{exc}", file=err)
-                code = EXIT_RESOURCE
-            worst = max(worst, code)
-        return worst
-    if args.formula is None:
-        print("decide: provide --formula or --stdin", file=err)
+    conflict = _flag_conflict(args)
+    if conflict is not None:
+        print(f"decide: {conflict}", file=err)
         return EXIT_USAGE
-    goal = parse(args.formula, logic)
-    return run(RunConfig(goal=goal, **base), out, err)
-
-
-def _run_line(cfg, line, out, err):
-    """Batch mode: one verdict line per input formula."""
-    if cfg.format == "json":
-        buf = io.StringIO()
-        code = run(cfg, buf, err)
-        print(buf.getvalue().strip(), file=out)
-        return code
-    table_result = None
-    tableau_result = None
-    _, max_nodes, max_work = _caps(cfg)
-    if cfg.method in ("table", "both"):
-        table_result = truthtable.decide(cfg.logic, cfg.goal, cfg.premises,
-                                         max_work=max_work)
-    if cfg.method in ("tableau", "both"):
-        tableau_result = tableau.prove(cfg.logic, cfg.goal, cfg.premises,
-                                       use_derived=cfg.derived_rules,
-                                       max_nodes=max_nodes, build_tree=False)
-    if table_result is not None and tableau_result is not None \
-            and table_result.entailed != tableau_result.proved:
-        print(f"disagreement\t{line}", file=out)
-        return EXIT_DISAGREEMENT
-    entailed = table_result.entailed if table_result is not None \
-        else tableau_result.proved
-    word = ("entailed" if entailed else "not entailed") if cfg.premises \
-        else ("valid" if entailed else "invalid")
-    print(f"{word}\t{line}", file=out)
-    return EXIT_ENTAILED if entailed else EXIT_NOT_ENTAILED
+    logic = parse_logic(args.logic)
+    premises = tuple(parse(chunk, logic)
+                     for chunk in (args.premises or "").split(";") if chunk.strip())
+    # The other fields of RunConfig are the decide flags of the same names.
+    base = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+            if f.name not in ("logic", "goal", "premises")}
+    if not args.stdin:
+        return run(RunConfig(logic, parse(args.formula, logic), premises, **base),
+                   out, err)
+    worst = EXIT_ENTAILED
+    for line in sys.stdin:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            cfg = RunConfig(logic, parse(line, logic), premises, **base)
+            ans = answer(cfg)
+            if args.format == "json":
+                _render_json(cfg, ans, out, err)
+            else:
+                _render_line(cfg, ans, line, out)
+            code = ans.code
+        except _REPORTED as exc:
+            print(f"error\t{line}\t{exc}", file=err)
+            code = _exit_code(exc)
+        worst = max(worst, code)
+    return worst
 
 
 def _cmd_tables(args, out, err):
@@ -355,19 +380,9 @@ def main(argv=None):
             return _cmd_axioms(args, out, err)
         parser.print_usage(err)
         return EXIT_USAGE
-    except ParseError as exc:
+    except _REPORTED as exc:
         print(f"dacosta: {exc}", file=err)
-        return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"dacosta: {exc}", file=err)
-        return EXIT_RESOURCE
-    except DacostaError as exc:
-        print(f"dacosta: {exc}", file=err)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"dacosta: {exc}", file=err)
-        return EXIT_USAGE
-
+        return _exit_code(exc)
 
 if __name__ == "__main__":
     sys.exit(main())

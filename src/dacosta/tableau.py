@@ -35,7 +35,6 @@ x^1 freely, so the shortcuts would be unsound there).
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -463,7 +462,7 @@ def fold_premises(goal, premises):
 
 
 def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
-          max_nodes=None, build_tree=True):
+          max_nodes=DEFAULT_MAX_NODES, build_tree=True):
     """Tableau decision: do the premises prove the goal?
 
     Roots the tableau at F(premises folded into nested implication), expands
@@ -472,10 +471,8 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     branch provides `countermodel`.  With stop_on_open (default) expansion
     stops at the first open complete branch; pass False to complete the whole
     tableau (CLI dumps, invariants).  Raises ResourceLimitError past max_nodes
-    insertions (default 1,000,000, env DACOSTA_MAX_NODES).
+    insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
     """
-    if max_nodes is None:
-        max_nodes = int(os.environ.get("DACOSTA_MAX_NODES", DEFAULT_MAX_NODES))
     premises = tuple(premises)
     root_formula = fold_premises(goal, premises)
     F = logic.n + 1

@@ -32,7 +32,6 @@ test suite enforces that.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -249,39 +248,36 @@ def build_table(logic, goal, premises=(), max_rows=DEFAULT_MAX_ROWS,
     n_disc = 0
     values = [0] * ncols
 
-    # Explicit DFS over columns; each frame iterates the column's cell in
-    # canonical order, interleaving discarded stubs where forcing pruned.
-    def emit(j):
-        nonlocal n_live, n_disc
-        if j == ncols:
+    # Depth-first over columns; cells[j] holds the untried cell values of
+    # column j, with discarded stubs interleaved where forcing pruned.
+    cells, pruned_at = [], []
+    j = 0
+    while j >= 0:
+        if j == len(cells):
+            live, pruned = plan.candidates(j, values)
+            # cells are ascending, so sorting the two halves restores cell order
+            cells.append(iter(sorted(live + pruned) if pruned else live))
+            pruned_at.append(pruned)
+        v = next(cells[j], None)
+        if v is None:
+            cells.pop()
+            pruned_at.pop()
+            j -= 1
+        elif v in pruned_at[j]:
+            if collect_discarded:
+                stub = tuple(values[:j]) + (v,) + (None,) * (ncols - j - 1)
+                rows.append(Row(stub, "discarded"))
+            n_disc += 1
+        elif j + 1 < ncols:
+            values[j] = v
+            j += 1
+        else:
+            values[j] = v
             rows.append(Row(tuple(values), "live"))
             n_live += 1
-            if n_live + n_disc > max_rows:
-                raise ResourceLimitError(
-                    f"table exceeds {max_rows} rows; raise max_rows to materialize")
-            return
-        live, pruned = plan.candidates(j, values)
-        # cells are ascending, so sorting the two halves restores cell order
-        for v in sorted(live + pruned) if pruned else live:
-            if v in pruned:
-                if collect_discarded:
-                    stub = tuple(values[:j]) + (v,) + (None,) * (ncols - j - 1)
-                    rows.append(Row(stub, "discarded"))
-                n_disc += 1
-                if n_live + n_disc > max_rows:
-                    raise ResourceLimitError(
-                        f"table exceeds {max_rows} rows; raise max_rows to materialize")
-            else:
-                values[j] = v
-                emit(j + 1)
-
-    old_limit = sys.getrecursionlimit()
-    if ncols + 50 > old_limit:
-        sys.setrecursionlimit(ncols + 100)
-    try:
-        emit(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        if n_live + n_disc > max_rows:
+            raise ResourceLimitError(
+                f"table exceeds {max_rows} rows; raise max_rows to materialize")
 
     elapsed = time.perf_counter() - start
     table = Table(logic, plan.columns, rows, goal, tuple(premises))
@@ -453,8 +449,9 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
 
     stats reports the exact live-row count of the canonical table
     (rows_live), the rows cut by the restriction in this column order
-    (rows_discarded), and the states expanded (work).  Raises
-    ResourceLimitError when `work` would exceed `max_work`.
+    (rows_discarded), their sum (rows_total, as in build_table), and the
+    states expanded (work).  Raises ResourceLimitError when `work` would
+    exceed `max_work`.
     """
     start = time.perf_counter()
     premises = tuple(premises)
@@ -537,7 +534,7 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
         countermodel=countermodel,
         stats={
             "rows_live": rows_live,
-            "rows_total": rows_live,
+            "rows_total": rows_live + pruned_paths,
             "rows_discarded": pruned_paths,
             "work": work,
             "elapsed": elapsed,
@@ -637,38 +634,26 @@ def extend_partial(logic, domain_formulas, nu0):
     values = [None] * ncols
     deepest = -1
 
-    def search(j):
-        nonlocal deepest
-        if j == ncols:
-            return True
-        if j > deepest:
-            deepest = j
-        live, _ = plan.candidates(j, values)
-        pinned = nu0.get(columns[j])
-        if pinned is not None:
-            if pinned not in live:
-                return False
-            values[j] = pinned
-            if search(j + 1):
-                return True
-            values[j] = None
-            return False
-        for v in live:
-            values[j] = v
-            if search(j + 1):
-                return True
-        values[j] = None
-        return False
-
-    old_limit = sys.getrecursionlimit()
-    if ncols + 50 > old_limit:
-        sys.setrecursionlimit(ncols + 100)
-    try:
-        ok = search(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    if not ok:
-        bad = columns[min(deepest, ncols - 1)] if ncols else None
+    # Depth-first in canonical value order; stack[j] holds the untried values
+    # of column j, and j falls to -1 once every choice has failed.
+    stack = []
+    j = 0
+    while 0 <= j < ncols:
+        if j == len(stack):
+            deepest = max(deepest, j)
+            live, _ = plan.candidates(j, values)
+            pinned = nu0.get(columns[j])
+            if pinned is not None:
+                live = (pinned,) if pinned in live else ()
+            stack.append(iter(live))
+        values[j] = next(stack[j], None)
+        if values[j] is None:
+            stack.pop()
+            j -= 1
+        else:
+            j += 1
+    if j < 0:
+        bad = columns[deepest]
         raise ExtensionError(
             "precondition violation: no restricted valuation extends the "
             f"assignment (stuck at {bad.text})", formula=bad)

@@ -186,6 +186,16 @@ class TestResourceCaps:
         assert code == 3
         assert "exceeded" in err
 
+    def test_non_integer_environment_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("DACOSTA_MAX_WORK", "lots")
+        code, out, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--formula", "p -> p",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("dacosta: environment variable DACOSTA_MAX_WORK "
+                               "must be an integer, got 'lots'")
+
     def test_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("DACOSTA_MAX_WORK", "1")
         code, out, _ = run_cli(
@@ -206,6 +216,14 @@ class TestDisagreementGuard:
         assert code == 4
         assert "method disagreement" in err
         assert "bug" in err
+
+    def test_batch_disagreement_line(self, capsys, monkeypatch):
+        fake = SimpleNamespace(entailed=False, countermodel=None, stats={})
+        monkeypatch.setattr(cli.truthtable, "decide", lambda *a, **k: fake)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p -> p\n"))
+        code, out, _ = run_cli(capsys, "decide", "--logic", "C1", "--stdin")
+        assert code == 4
+        assert out.splitlines() == ["disagreement\tp -> p"]
 
 
 class TestStdinBatch:
@@ -237,6 +255,33 @@ class TestStdinBatch:
         assert code == 1
         docs = [json.loads(ln) for ln in out.splitlines()]
         assert [d["entailed"] for d in docs] == [True, False]
+
+
+class TestFlagConflicts:
+    @pytest.mark.parametrize("flags", [
+        ("--formula", "p -> p", "--method", "table", "--emit-tableau", "tree.txt"),
+        ("--stdin", "--emit-table", "table.txt"),
+        ("--stdin", "--emit-tableau", "tree.txt"),
+        ("--stdin", "--stats"),
+    ], ids=["emit-tableau-without-tableau", "stdin-emit-table",
+            "stdin-emit-tableau", "stdin-text-stats"])
+    def test_usage_error(self, capsys, monkeypatch, tmp_path, flags):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p -> p\n"))
+        code, out, err = run_cli(capsys, "decide", "--logic", "C1", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("decide: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stdin_stats_in_json(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p -> p\n"))
+        code, out, _ = run_cli(
+            capsys, "decide", "--logic", "C1", "--stdin", "--stats",
+            "--format", "json",
+        )
+        assert code == 0
+        assert set(json.loads(out)["stats"]) == {"table", "tableau"}
 
 
 class TestEmitFiles:
@@ -284,6 +329,46 @@ class TestEmitFiles:
         doc = json.loads(path.read_text())
         assert doc["logic"] == "C2"
         assert doc["root"]["formula"] == "p -> p"
+
+    @pytest.mark.parametrize("argv", [
+        ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-table"),
+        ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-tableau"),
+        ("axioms", "--logic", "C1", "--instances", "1", "--out"),
+    ], ids=["emit-table", "emit-tableau", "axioms-out"])
+    def test_unwritable_path(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert err.startswith("dacosta: ") and "No such file or directory" in err
+
+
+# Goals for the no-traceback matrix: valid, invalid, a syntax error, a
+# connective outside C1's signature, and a goal past both caps of the run.
+ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p", "(p & q) & r -> r & q"]
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("mode", ["goal", "stdin"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("method", ["table", "tableau", "both"])
+    def test_exit_codes(self, monkeypatch, method, fmt, mode):
+        src_dir = Path(dacosta.__file__).resolve().parent.parent
+        monkeypatch.setenv("PYTHONPATH", str(src_dir), prepend=os.pathsep)
+        base = [sys.executable, "-m", "dacosta.cli", "decide", "--logic", "C1",
+                "--method", method, "--format", fmt,
+                "--max-work", "40", "--max-nodes", "20"]
+        if mode == "stdin":
+            runs = [(base + ["--stdin"], "\n".join(ROBUST_GOALS) + "\n")]
+        else:
+            runs = [(base + ["--formula", goal], "") for goal in ROBUST_GOALS]
+        codes = []
+        for argv, stdin in runs:
+            proc = subprocess.run(argv, input=stdin, capture_output=True, text=True)
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode in {0, 1, 2, 3}
+            codes.append(proc.returncode)
+        # the batch exits with its worst line, the cap
+        assert codes == ([3] if mode == "stdin" else [0, 1, 2, 2, 3])
 
 
 class TestTables:

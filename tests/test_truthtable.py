@@ -4,6 +4,7 @@ import itertools
 import json
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -205,6 +206,27 @@ class TestExtendPartial:
         with pytest.raises(ExtensionError, match=r"p & ~p"):
             extend_partial(C1, {p, parse("~p"), parse("p & ~p")}, bad)
 
+    def test_deep_chain_without_recursion(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        k = 1200
+        chain = parse("p")
+        for _ in range(k):
+            chain = Neg(chain)
+        table = build_table(C1, chain)
+        assert len(live_rows(table)) == k + 3
+        columns = ordered_subformulas(chain)
+        nu = extend_partial(C1, columns, {chain: 2})
+        assert nu.assignment[chain] == 2
+        assert check_valuation(C1, nu.assignment) == []
+        # with p = T every C1 negation is forced: T, F, T, ..., so an even
+        # chain is T and the search is stuck at its top
+        with pytest.raises(ExtensionError) as info:
+            extend_partial(C1, columns, {parse("p"): 0, chain: 2})
+        assert info.value.formula is chain
+
     def test_non_closed_domain_rejected(self):
         with pytest.raises(ExtensionError, match="closed"):
             extend_partial(C1, {parse("p & q")}, {parse("p & q"): 0})
@@ -255,6 +277,9 @@ class TestAgreementSmall:
                 table = build_table(logic, goal, premises)
                 res = decide(logic, goal, premises)
                 assert res.stats["rows_live"] == len(live_rows(table))
+                for stats in (table.stats, res.stats):
+                    assert stats["rows_total"] == \
+                        stats["rows_live"] + stats["rows_discarded"]
                 entailed, _ = table_verdict(table)
                 assert res.entailed == entailed, (goal.text, premises)
                 if entailed:
