@@ -12,7 +12,9 @@ the answer as text or JSON; `decide --stdin` prints one line per goal.
 
 Exit codes: 0 entailed/valid, 1 not entailed, 2 usage, parse or output-path
 error, 3 resource cap exceeded, 4 the two decision methods disagreed (a bug
-signal; the run emits a diagnostic instead of silently picking a winner).
+signal; the run emits a diagnostic instead of silently picking a winner),
+141 the reader closed stdout (128 + SIGPIPE, as a shell reports `yes | head -1`;
+nothing is printed).
 
 Caps come from flags or the environment: DACOSTA_MAX_ROWS (table rows),
 DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
@@ -36,6 +38,7 @@ EXIT_NOT_ENTAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_BROKEN_PIPE = 141
 
 # Errors that print as `dacosta: ...` (an `error` line in batch mode), not as a
 # traceback: bad formulas, logics, caps and flags, and unwritable output paths.
@@ -281,6 +284,8 @@ def _cmd_decide(args, out, err):
             else:
                 _render_line(cfg, ans, line, out)
             code = ans.code
+        except BrokenPipeError:
+            raise  # stdout is gone: no later line can be answered
         except _REPORTED as exc:
             print(f"error\t{line}\t{exc}", file=err)
             code = _exit_code(exc)
@@ -371,18 +376,22 @@ def main(argv=None):
     if args.command is None:
         parser.print_usage(err)
         return EXIT_USAGE
+    commands = {"decide": _cmd_decide, "tables": _cmd_tables, "axioms": _cmd_axioms}
     try:
-        if args.command == "decide":
-            return _cmd_decide(args, out, err)
-        if args.command == "tables":
-            return _cmd_tables(args, out, err)
-        if args.command == "axioms":
-            return _cmd_axioms(args, out, err)
-        parser.print_usage(err)
-        return EXIT_USAGE
+        code = commands[args.command](args, out, err)
+        out.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the
+        # interpreter's final flush is quiet, and exit as for SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _REPORTED as exc:
         print(f"dacosta: {exc}", file=err)
         return _exit_code(exc)
+
 
 if __name__ == "__main__":
     sys.exit(main())

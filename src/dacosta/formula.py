@@ -416,8 +416,15 @@ class _Parser:
 
 
 def parse(text, logic=None):
-    """Parse a formula.  When `logic` is a C_n, the @ connective is rejected."""
-    return _Parser(text, logic).parse()
+    """Parse a formula.  When `logic` is a C_n, the @ connective is rejected.
+
+    Nesting deeper than the interpreter's recursion limit raises ParseError
+    at position 0.
+    """
+    try:
+        return _Parser(text, logic).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", 0) from None
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,13 @@ Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
 They exist for C_n and Cila; mbCcl has none (in its tables ~x can designate
 x^1 freely, so the shortcuts would be unsound there).
+
+Within one proof, the expansion of each signed formula is resolved once:
+formulas are interned, so `prove` keeps a memo keyed by (label, formula)
+over `expand_derived`'s and `expand`'s raw forms, and another for the
+closure partners x & ~x and ~(x & ~x) of `_closes`.  Both memos live and die
+with the call; the rule tables stay the only source of the extensions.  Rule
+strings ("T(&)", "F2(->) derived") are built only for recorded trees.
 """
 
 from __future__ import annotations
@@ -356,9 +363,10 @@ def expand_derived(logic, sf):
 # Branch closure
 
 
-def _closes(logic, labels, f, lab):
+def _closes(logic, labels, f, lab, partners=None):
     """Does adding lab(f) to `labels` violate a closure condition (beyond a
-    straight label conflict, which the caller handles)?"""
+    straight label conflict, which the caller handles)?  `partners` maps a
+    formula x to its (x & ~x, ~(x & ~x)); `prove` passes one dict per proof."""
     n = logic.n
     if n == 1:
         if lab == 1:
@@ -381,7 +389,13 @@ def _closes(logic, labels, f, lab):
         if src_lab is not None and 2 <= src_lab <= n and lab != src_lab - 1:
             return "t_k(x) with wrong label on x^1"
     if 1 <= lab <= n:
-        conj = And(f, Neg(f))
+        if partners is None:
+            partners = {}
+        pair = partners.get(f)
+        if pair is None:
+            conj = And(f, Neg(f))
+            pair = partners[f] = (conj, Neg(conj))
+        conj, p1 = pair
         conj_lab = labels.get(conj)
         if conj_lab is not None:
             if lab == 1 and 1 <= conj_lab <= n:
@@ -389,7 +403,6 @@ def _closes(logic, labels, f, lab):
             if lab >= 2 and conj_lab == 0:
                 return "t_k(x), k>=1, with T(x & ~x)"
         if lab >= 2:
-            p1 = Neg(conj)
             p1_lab = labels.get(p1)
             if p1_lab is not None and p1_lab != lab - 1:
                 return "t_k(x) with wrong label on x^1"
@@ -472,6 +485,12 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     stops at the first open complete branch; pass False to complete the whole
     tableau (CLI dumps, invariants).  Raises ResourceLimitError past max_nodes
     insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
+
+    A (label, formula) that many branches insert resolves its rule once per
+    call, through a memo that is dropped when the call returns.  With
+    build_tree=False (bulk mode) no tree, rule string or closed-branch record
+    is made; `tableau.branches` then holds the open and unexplored branches
+    only.
     """
     premises = tuple(premises)
     root_formula = fold_premises(goal, premises)
@@ -485,6 +504,9 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     }
     finished = []  # Branch records
     open_branch_state = None
+    expansions = {}  # (label, formula) -> (extensions, derived), per proof
+    partners = {}    # formula -> closure partners, see _closes
+    names = algebra.value_names(logic) if build_tree else None
 
     def make_node(lab, f, rule, parent):
         if not build_tree:
@@ -497,11 +519,14 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     def expansions_of(lab, f):
         if f.kind == VAR:
             return None, False
-        if use_derived:
-            exts = _derived_raw(logic, lab, f)
-            if exts is not None:
-                return exts, True
-        return _expand_raw(logic, lab, f), False
+        key = (lab, f)
+        found = expansions.get(key)
+        if found is None:
+            exts = _derived_raw(logic, lab, f) if use_derived else None
+            found = (exts, True) if exts is not None \
+                else (_expand_raw(logic, lab, f), False)
+            expansions[key] = found
+        return found
 
     def insert(state, lab, f, rule, count_node=True):
         """Add lab(f) to the branch; returns 'dup', 'closed' or 'ok'."""
@@ -512,7 +537,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             state.leaf = make_node(lab, f, rule, state.leaf)
             stats["nodes"] += 1
             return ("closed", f"label conflict on {f.text}")
-        reason = _closes(logic, state.labels, f, lab)
+        reason = _closes(logic, state.labels, f, lab, partners)
         state.labels[f] = lab
         state.order.append((lab, f))
         state.leaf = make_node(lab, f, rule, state.leaf)
@@ -579,8 +604,10 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 break
             if derived:
                 stats["derived_rule_hits"] += 1
-            rule = f"{algebra.value_names(logic)[lab]}({_CONN_LABEL.get(f.kind, '?')})" \
-                + (" derived" if derived else "")
+            rule = None
+            if build_tree:
+                rule = f"{names[lab]}({_CONN_LABEL.get(f.kind, '?')})" \
+                    + (" derived" if derived else "")
             if len(exts) == 1:
                 for g, gl in exts[0]:
                     r = insert(state, gl, g, rule)
@@ -621,8 +648,8 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 stats["branches"] += 1
                 stats["closures"] += 1
                 stats["contains_closed_branch"] = True
-                reason = f"label conflict on {g.text}"
                 if build_tree:
+                    reason = f"label conflict on {g.text}"
                     leaf = state.leaf
                     for h, hl in ext:
                         leaf = make_node(hl, h, rule, leaf)

@@ -1,0 +1,205 @@
+"""Regenerate the golden files that pin both decision procedures.
+
+    python3 tests/data/make_golden.py           # rewrite both files
+    python3 tests/data/make_golden.py --check   # exit 1 if either would change
+
+decide_golden.json holds `truthtable.decide` results and prove_golden.json
+holds `tableau.prove` results, each on a seeded corpus built here.  The test
+suite (TestDecideGolden, TestProveGolden) replays the files against the
+current source; rewrite them only when a change is meant to move a pinned
+figure, and say so where the change is described.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import random
+import sys
+
+DATA = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(DATA.parent.parent / "src"))
+
+from dacosta import axioms  # noqa: E402
+from dacosta.errors import ResourceLimitError  # noqa: E402
+from dacosta.formula import parse, parse_logic, random_formula  # noqa: E402
+from dacosta.tableau import prove, tableau_to_text  # noqa: E402
+from dacosta.truthtable import decide  # noqa: E402
+
+LOGICS = ("C1", "C2", "C3", "C4", "mbCcl", "Cila")
+ATOMS = ("p", "q", "r")
+
+DECIDE_ABOUT = (
+    "decide() results on a seeded random_formula corpus (random.Random(20201120); "
+    "50 goals per logic over p, q, r; every third goal with 1-2 premises of 0-3 "
+    "connectives; goal sizes up to C1/mbCcl/Cila 8, C2 7, C3 6, C4 5 connectives), "
+    "recorded from the frontier DP with per-column back-pointers before the "
+    "successor-table rewrite. countermodel maps formula text to value index.")
+DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
+
+PROVE_ABOUT = (
+    "prove() results (build_tree=False, stop_on_open=True, default max_nodes), "
+    "recorded before the per-proof expansion memo. Corpus: random.Random(20110510); "
+    "per logic, 40 random_formula goals over p, q, r (sizes up to C1/mbCcl/Cila 7, "
+    "C2 6, C3 5, C4 4 connectives; every third goal with 1-2 premises of 0-3 "
+    "connectives; use_derived on every odd goal), then one instance of each axiom "
+    "schema with substituents of 0-2 connectives (0-1 in C3/C4), proved with "
+    "use_derived on. branch_records are [status, reason, [[label, formula text], "
+    "...]]; countermodel maps formula text to value index. trees: per logic, the "
+    "first 2 random goals and the first 2 axiom instances (those that fire a "
+    "derived rule first) whose completed tableau has at most 300 nodes, rerun "
+    "with build_tree=True, stop_on_open=False; text is their tableau_to_text.")
+PROVE_MAX = {"C1": 7, "C2": 6, "C3": 5, "C4": 4, "mbCcl": 7, "Cila": 7}
+AXIOM_MAX = {"C1": 2, "C2": 2, "C3": 1, "C4": 1, "mbCcl": 2, "Cila": 2}
+TREES_PER_PART, TREE_NODES = 2, 300
+
+
+def _premises(rng, lg):
+    return [random_formula(rng, lg, rng.randint(0, 3), ATOMS).text
+            for _ in range(rng.randint(1, 2))]
+
+
+def decide_corpus():
+    rng = random.Random(20201120)
+    out = []
+    for name in LOGICS:
+        lg = parse_logic(name)
+        for i in range(50):
+            goal = random_formula(rng, lg, rng.randint(0, DECIDE_MAX[name]), ATOMS)
+            premises = _premises(rng, lg) if i % 3 == 0 else []
+            out.append({"logic": name, "goal": goal.text, "premises": premises})
+    return out
+
+
+def prove_corpus():
+    """Per logic, its random goals and its axiom instances."""
+    rng = random.Random(20110510)
+    out = {}
+    for name in LOGICS:
+        lg = parse_logic(name)
+        goals = []
+        for i in range(40):
+            goal = random_formula(rng, lg, rng.randint(0, PROVE_MAX[name]), ATOMS)
+            premises = _premises(rng, lg) if i % 3 == 0 else []
+            goals.append({"logic": name, "goal": goal.text, "premises": premises,
+                          "use_derived": i % 2 == 1})
+        instances = [{"logic": name, "premises": [], "use_derived": True,
+                      "goal": axioms.random_instance(s, rng, AXIOM_MAX[name], ATOMS).text}
+                     for s in axioms.schemata(lg)]
+        out[name] = (goals, instances)
+    return out
+
+
+def _tree_stats(q):
+    """Stats of the completed tableau of q, or None past TREE_NODES nodes."""
+    try:
+        return prove(*_parsed(q), use_derived=q["use_derived"], stop_on_open=False,
+                     max_nodes=TREE_NODES, build_tree=False).tableau.stats
+    except ResourceLimitError:
+        return None
+
+
+def tree_corpus(corpus):
+    """Per logic, the first TREES_PER_PART random goals and axiom instances
+    whose completed tableau has at most TREE_NODES nodes; instances that fire
+    a derived rule go first."""
+    out = []
+    for goals, instances in corpus.values():
+        out += [q for q in goals if _tree_stats(q) is not None][:TREES_PER_PART]
+        small = [(q, stats) for q in instances
+                 if (stats := _tree_stats(q)) is not None]
+        small.sort(key=lambda pair: pair[1]["derived_rule_hits"] == 0)
+        out += [q for q, _ in small[:TREES_PER_PART]]
+    return out
+
+
+def _parsed(q):
+    lg = parse_logic(q["logic"])
+    return lg, parse(q["goal"], lg), tuple(parse(p, lg) for p in q["premises"])
+
+
+def _countermodel(valuation):
+    if valuation is None:
+        return None
+    return {f.text: v for f, v in
+            sorted(valuation.items(), key=lambda kv: (kv[0].complexity, kv[0].text))}
+
+
+def decide_record(q):
+    """The pinned fields of decide() on query q."""
+    res = decide(*_parsed(q))
+    return {"entailed": res.entailed,
+            "rows_live": res.stats["rows_live"],
+            "rows_discarded": res.stats["rows_discarded"],
+            "work": res.stats["work"],
+            "countermodel": _countermodel(res.countermodel)}
+
+
+def prove_record(q, tree=False):
+    """The pinned fields of prove() on query q.  With `tree`, the tableau is
+    completed and recorded, and its text rendering stands in for the branch
+    records (its leaves carry every branch's status and reason)."""
+    lg, goal, premises = _parsed(q)
+    res = prove(lg, goal, premises, use_derived=q["use_derived"],
+                stop_on_open=not tree, build_tree=tree)
+    stats = res.tableau.stats
+    rec = {"proved": res.proved}
+    for key in ("nodes", "branches", "closures", "derived_rule_hits",
+                "early_stop", "completed"):
+        rec[key] = stats[key]
+    if tree:
+        rec["text"] = tableau_to_text(res.tableau)
+    else:
+        rec["branch_records"] = [[b.status, b.reason,
+                                  [[l, f.text] for l, f in b.signed]]
+                                 for b in res.tableau.branches]
+    rec["countermodel"] = _countermodel(res.countermodel)
+    return rec
+
+
+def _dump(about, sections):
+    parts = ['{"about": ' + json.dumps(about)]
+    for key, rows in sections:
+        parts.append(f' "{key}": [\n  ' + ",\n  ".join(json.dumps(r) for r in rows)
+                     + "\n ]")
+    return ",\n".join(parts) + "}\n"
+
+
+def render_decide():
+    rows = [dict(q, **decide_record(q)) for q in decide_corpus()]
+    return _dump(DECIDE_ABOUT, [("queries", rows)])
+
+
+def render_prove():
+    corpus = prove_corpus()
+    rows = [dict(q, **prove_record(q))
+            for goals, instances in corpus.values() for q in goals + instances]
+    trees = [dict(q, **prove_record(q, tree=True)) for q in tree_corpus(corpus)]
+    return _dump(PROVE_ABOUT, [("queries", rows), ("trees", trees)])
+
+
+FILES = {"decide_golden.json": render_decide, "prove_golden.json": render_prove}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--check", action="store_true",
+                    help="compare with the committed files instead of writing")
+    args = ap.parse_args(argv)
+    stale = []
+    for name, render in FILES.items():
+        text = render()
+        path = DATA / name
+        if args.check:
+            if not path.exists() or path.read_text() != text:
+                stale.append(name)
+        else:
+            path.write_text(text)
+    for name in stale:
+        print(f"{name} differs from the current source's output", file=sys.stderr)
+    return 1 if stale else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -371,6 +371,63 @@ class TestNoTraceback:
         assert codes == ([3] if mode == "stdin" else [0, 1, 2, 2, 3])
 
 
+def cli_module(monkeypatch, *argv):
+    """argv for `python -m dacosta.cli` running the code this suite imported."""
+    src_dir = Path(dacosta.__file__).resolve().parent.parent
+    monkeypatch.setenv("PYTHONPATH", str(src_dir), prepend=os.pathsep)
+    return [sys.executable, "-m", "dacosta.cli", *argv]
+
+
+class TestDeepNesting:
+    """A goal nested past the recursion limit is a parse error (exit 2), and
+    a batch answers the lines around it."""
+
+    DEEP = {"negations": "~" * 3000 + "p",
+            "parentheses": "(" * 3000 + "p" + ")" * 3000}
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_batch_answers_other_lines(self, monkeypatch, shape):
+        deep = self.DEEP[shape]
+        proc = subprocess.run(
+            cli_module(monkeypatch, "decide", "--logic", "C1", "--stdin"),
+            input=f"p -> p\n{deep}\np & q\n", capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == ["valid\tp -> p", "invalid\tp & q"]
+        assert proc.stderr.splitlines() == [
+            f"error\t{deep}\tformula nested too deeply (at position 0)"]
+
+    def test_single_goal(self, monkeypatch):
+        proc = subprocess.run(
+            cli_module(monkeypatch, "decide", "--logic", "C1",
+                       "--formula", self.DEEP["negations"]),
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "dacosta: formula nested too deeply (at position 0)\n"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early ends the run quietly with 141."""
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["axioms", "--logic", "C1", "--instances", "300"], 0),
+        (["decide", "--logic", "C1", "--stdin"], 5000),
+    ], ids=["axioms", "stdin-batch"])
+    def test_exit_141_and_no_stderr(self, monkeypatch, tmp_path, argv, lines):
+        goals = tmp_path / "goals.txt"
+        goals.write_text("p -> p | q & (r -> p)\n" * lines)
+        with goals.open() as stdin, subprocess.Popen(
+                cli_module(monkeypatch, *argv), stdin=stdin,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert first.strip()
+        assert err == b""
+        assert code == cli.EXIT_BROKEN_PIPE == 141
+
+
 class TestTables:
     def test_text_render(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--logic", "C1")

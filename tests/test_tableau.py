@@ -1,6 +1,9 @@
 """Tableau engine tests: rule coherence, closure, search, extraction, dumps."""
 
+import importlib.util
 import itertools
+import json
+import pathlib
 
 import pytest
 
@@ -41,6 +44,7 @@ X, Y = Var("x"), Var("y")
 P, Q = Var("p"), Var("q")
 
 PSI = parse("((p & ~p) & ~(p & ~p)) -> ~~p")
+DATA = pathlib.Path(__file__).parent / "data"
 
 COHERENCE_LOGICS = [C(1), C(2), C(3), C(4), MBCCL, CILA]
 
@@ -411,3 +415,78 @@ class TestDumps:
         res = prove(C(1), parse("p -> p"))
         doc = tableau_to_json(res.tableau)
         assert doc["stats"]["nodes"] == res.tableau.stats["nodes"]
+
+
+def load_make_golden():
+    spec = importlib.util.spec_from_file_location("make_golden",
+                                                  DATA / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestProveGolden:
+    """prove against results recorded before the per-proof expansion memo
+    (see the file's "about" field): every stat, branch record, countermodel
+    and recorded tree, query by query."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((DATA / "prove_golden.json").read_text())
+
+    @pytest.mark.parametrize("section, tree", [("queries", False), ("trees", True)])
+    def test_matches_recorded_results(self, golden, section, tree):
+        prove_record = load_make_golden().prove_record
+        rows = golden[section]
+        assert len(rows) == (325 if section == "queries" else 24)
+        for row in rows:
+            query = {k: row[k] for k in ("logic", "goal", "premises", "use_derived")}
+            got = prove_record(query, tree=tree)
+            assert set(got) | set(query) == set(row)
+            assert got == {k: row[k] for k in got}, query
+
+
+class _AlgebraSpy:
+    """Stands in for `algebra` as the tableau module sees it, and records
+    the logics it is asked to name values for."""
+
+    def __init__(self, real, refuse):
+        self._real, self._refuse, self.calls = real, refuse, []
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def value_names(self, logic):
+        if self._refuse:
+            raise AssertionError("value_names called without a tree")
+        self.calls.append(logic)
+        return self._real.value_names(logic)
+
+
+class TestBulkModeBuildsNoStrings:
+    """Without a recorded tree, a proof never asks for value names: rule
+    strings exist only on tree nodes."""
+
+    QUERIES = [(C(2), "p^(2) -> p -> ~p -> q"), (C(2), "p^1 -> p -> ~p -> q"),
+               (C(4), "p^(4) -> p -> ~p -> q"), (C(4), "p^(3) -> p -> ~p -> q")]
+
+    def spy(self, monkeypatch, refuse):
+        import dacosta.tableau as tableau_module
+
+        spy = _AlgebraSpy(tableau_module.algebra, refuse)
+        monkeypatch.setattr(tableau_module, "algebra", spy)
+        return spy
+
+    def test_bulk_proof_never_names_values(self, monkeypatch):
+        self.spy(monkeypatch, refuse=True)
+        verdicts = []
+        for lg, text in self.QUERIES:
+            res = prove(lg, parse(text), use_derived=True, build_tree=False)
+            assert res.tableau.stats["derived_rule_hits"] > 0
+            verdicts.append(res.proved)
+        assert verdicts == [True, False, True, False]
+
+    def test_tree_mode_names_values(self, monkeypatch):
+        spy = self.spy(monkeypatch, refuse=False)
+        res = prove(C(2), parse(self.QUERIES[0][1]), use_derived=True)
+        assert res.proved and spy.calls == [C(2)]
