@@ -13,8 +13,10 @@ the answer as text or JSON; `decide --stdin` prints one line per goal.
 Exit codes: 0 entailed/valid, 1 not entailed, 2 usage, parse or output-path
 error, 3 resource cap exceeded, 4 the two decision methods disagreed (a bug
 signal; the run emits a diagnostic instead of silently picking a winner),
-141 the reader closed stdout (128 + SIGPIPE, as a shell reports `yes | head -1`;
-nothing is printed).
+5 internal error (an unexpected exception, printed as `dacosta: internal
+error: ...` without a traceback; in `--stdin` mode one `error` line, and the
+batch goes on), 141 the reader closed stdout (128 + SIGPIPE, as a shell
+reports `yes | head -1`; nothing is printed).
 
 Caps come from flags or the environment: DACOSTA_MAX_ROWS (table rows),
 DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
@@ -38,15 +40,23 @@ EXIT_NOT_ENTAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_DISAGREEMENT = 4
+EXIT_INTERNAL = 5
 EXIT_BROKEN_PIPE = 141
 
-# Errors that print as `dacosta: ...` (an `error` line in batch mode), not as a
-# traceback: bad formulas, logics, caps and flags, and unwritable output paths.
+# Errors that print as `dacosta: ...` (an `error` line in batch mode): bad
+# formulas, logics, caps and flags, and unwritable output paths.  Any other
+# exception is a bug; it prints as an internal error, also without traceback.
 _REPORTED = (DacostaError, ValueError, OSError)
 
 
 def _exit_code(exc):
-    return EXIT_RESOURCE if isinstance(exc, ResourceLimitError) else EXIT_USAGE
+    if isinstance(exc, ResourceLimitError):
+        return EXIT_RESOURCE
+    return EXIT_USAGE if isinstance(exc, _REPORTED) else EXIT_INTERNAL
+
+
+def _error_text(exc):
+    return str(exc) if isinstance(exc, _REPORTED) else f"internal error: {exc!r}"
 
 
 @dataclass
@@ -286,8 +296,8 @@ def _cmd_decide(args, out, err):
             code = ans.code
         except BrokenPipeError:
             raise  # stdout is gone: no later line can be answered
-        except _REPORTED as exc:
-            print(f"error\t{line}\t{exc}", file=err)
+        except Exception as exc:
+            print(f"error\t{line}\t{_error_text(exc)}", file=err)
             code = _exit_code(exc)
         worst = max(worst, code)
     return worst
@@ -388,8 +398,8 @@ def main(argv=None):
         os.dup2(devnull, out.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except _REPORTED as exc:
-        print(f"dacosta: {exc}", file=err)
+    except Exception as exc:
+        print(f"dacosta: {_error_text(exc)}", file=err)
         return _exit_code(exc)
 
 

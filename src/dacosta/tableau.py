@@ -20,9 +20,23 @@ formula no restricted valuation can satisfy:
 Provability: the tableau for premises g_1..g_m and goal f starts from
 F(g_1 -> (g_2 -> ... (g_m -> f)...)); the goal is provable iff the completed
 tableau has every branch closed.  (A tableau that merely *contains* a closed
-branch is reported in stats as `contains_closed_branch`, but is not a sound
-provability criterion: F(p -> (p & ~p)) completes with one closed and one open
+branch proves nothing: F(p -> (p & ~p)) completes with one closed and one open
 branch while the formula is invalid.  The regression tests keep that example.)
+
+Branching order: a branch first applies its one-extension steps, taking
+first any that closes it on the spot.  When none is left it applies the
+first queued split (FIFO) that its labels force: one that some extension
+already on the branch satisfies, one whose every extension conflicts (the
+branch closes), or one with a single extension left (applied without a
+clone).  Only when no split is forced does the oldest one clone the branch
+once per surviving extension.  This is unit propagation, as in Davis,
+Logemann and Loveland (CACM 5(7), 1962).  The order is sound and complete
+because it never changes which valuations a saturated branch admits: a
+branch stands for the conjunction of its signed formulas, each rule replaces
+one of them by the disjunction of its extensions, and extensions that
+conflict with the branch admit no valuation.  Any order that applies every
+rule reaches the same set of valuations over the open leaves; unit-first
+only reaches it through fewer nodes.
 
 An open complete branch yields a countermodel by reading off its labels and
 extending them to a restricted valuation over the subformula domain.
@@ -466,6 +480,37 @@ class _BranchState:
                             deque(self.simple), deque(self.branching), self.leaf)
 
 
+def _prefilter(labels, exts):
+    """Sort a rule's extensions against a branch's labels.
+
+    Returns (satisfied, survivors, conflicted).  `satisfied` is True when the
+    branch already carries some extension whole: any valuation satisfying the
+    branch then satisfies the rule, so no split is needed (the other two are
+    partial then).  `conflicted` pairs each extension that gives some formula
+    a second label with that (formula, label); those close on the spot.  The
+    rest, `survivors`, are the real choices, in rule order.
+    """
+    survivors = []
+    conflicted = []
+    for ext in exts:
+        all_dup = True
+        conflict = None
+        for g, gl in ext:
+            have = labels.get(g)
+            if have is None:
+                all_dup = False
+            elif have != gl:
+                conflict = (g, gl)
+                break
+        if conflict is not None:
+            conflicted.append((ext, conflict))
+        elif all_dup:
+            return True, survivors, conflicted
+        else:
+            survivors.append(ext)
+    return False, survivors, conflicted
+
+
 def fold_premises(goal, premises):
     """g1 -> (g2 -> ... (gm -> goal)...); just the goal when premises are empty."""
     out = goal
@@ -479,11 +524,14 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     """Tableau decision: do the premises prove the goal?
 
     Roots the tableau at F(premises folded into nested implication), expands
-    to completion (eagerly applying non-branching and closing rules first),
-    and declares proved iff every branch closed.  On failure, an open complete
-    branch provides `countermodel`.  With stop_on_open (default) expansion
-    stops at the first open complete branch; pass False to complete the whole
-    tableau (CLI dumps, invariants).  Raises ResourceLimitError past max_nodes
+    to completion and declares proved iff every branch closed.  Each branch
+    applies its non-branching steps first (closing ones ahead), then the
+    first queued split its labels force to at most one extension, and only
+    then the oldest real split; see the module docstring for why the order
+    cannot change a verdict.  On failure, an open complete branch provides
+    `countermodel`.  With stop_on_open (default) expansion stops at the first
+    open complete branch; pass False to complete the whole tableau (CLI
+    dumps, invariants).  Raises ResourceLimitError past max_nodes
     insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
 
     A (label, formula) that many branches insert resolves its rule once per
@@ -499,8 +547,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
 
     stats = {
         "nodes": 0, "branches": 0, "closures": 0, "derived_rule_hits": 0,
-        "contains_closed_branch": False, "all_branches_closed": True,
-        "completed": True, "early_stop": False,
+        "all_branches_closed": True, "completed": True, "early_stop": False,
     }
     finished = []  # Branch records
     open_branch_state = None
@@ -528,15 +575,23 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             expansions[key] = found
         return found
 
-    def insert(state, lab, f, rule, count_node=True):
-        """Add lab(f) to the branch; returns 'dup', 'closed' or 'ok'."""
+    def rule_name(lab, f, derived):
+        if not build_tree:
+            return None
+        return f"{names[lab]}({_CONN_LABEL.get(f.kind, '?')})" \
+            + (" derived" if derived else "")
+
+    def insert(state, lab, f, rule):
+        """Add lab(f) to the branch; returns the closure reason, or None
+        while the branch stays open."""
         existing = state.labels.get(f)
         if existing is not None:
             if existing == lab:
-                return "dup"
+                return None
             state.leaf = make_node(lab, f, rule, state.leaf)
             stats["nodes"] += 1
-            return ("closed", f"label conflict on {f.text}")
+            # Bulk mode records no closed branch, so it needs no formula text.
+            return f"label conflict on {f.text}" if build_tree else "label conflict"
         reason = _closes(logic, state.labels, f, lab, partners)
         state.labels[f] = lab
         state.order.append((lab, f))
@@ -545,25 +600,24 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         if stats["nodes"] > max_nodes:
             raise ResourceLimitError(f"tableau exceeded {max_nodes} nodes")
         if reason is not None:
-            return ("closed", reason)
+            return reason
         exts, derived = expansions_of(lab, f)
         if exts is not None:
             if len(exts) == 0:
                 if derived:
                     stats["derived_rule_hits"] += 1
-                return ("closed", "unsatisfiable signed formula")
+                return "unsatisfiable signed formula"
             entry = (lab, f, exts, derived)
             if len(exts) == 1:
                 state.simple.append(entry)
             else:
                 state.branching.append(entry)
-        return "ok"
+        return None
 
     def finish(state, status, reason=""):
         stats["branches"] += 1
         if status == "closed":
             stats["closures"] += 1
-            stats["contains_closed_branch"] = True
         else:
             stats["all_branches_closed"] = False
         if build_tree and state.leaf is not None:
@@ -574,11 +628,13 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             finished.append(Branch(list(state.order), status, reason))
 
     root_state = _BranchState({}, [], deque(), deque(), None)
-    outcome = insert(root_state, F, root_formula, "root")
+    reason = insert(root_state, F, root_formula, "root")
     root_node = root_state.leaf if build_tree else None
-    stack = [root_state] if outcome == "ok" else []
-    if outcome != "ok" and outcome != "dup":
-        finish(root_state, "closed", outcome[1])
+    stack = []
+    if reason is None:
+        stack.append(root_state)
+    else:
+        finish(root_state, "closed", reason)
 
     def pop_simple(state):
         # Prefer a queued step that conflicts with a label already on the
@@ -592,62 +648,48 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                     return entry
         return state.simple.popleft()
 
+    def pop_branching(state):
+        # Unit first: the first queued split that the branch's labels force
+        # (already satisfied, closing, or down to one extension) is applied
+        # before any real split clones the branch.  Else the queue's head.
+        head = None
+        for i, entry in enumerate(state.branching):
+            filtered = _prefilter(state.labels, entry[2])
+            if filtered[0] or len(filtered[1]) <= 1:
+                del state.branching[i]
+                return entry, filtered
+            if head is None:
+                head = filtered
+        return state.branching.popleft(), head
+
     while stack:
         state = stack.pop()
         closed_reason = None
         while True:
             if state.simple:
                 lab, f, exts, derived = pop_simple(state)
-            elif state.branching:
-                lab, f, exts, derived = state.branching.popleft()
-            else:
-                break
-            if derived:
-                stats["derived_rule_hits"] += 1
-            rule = None
-            if build_tree:
-                rule = f"{names[lab]}({_CONN_LABEL.get(f.kind, '?')})" \
-                    + (" derived" if derived else "")
-            if len(exts) == 1:
+                if derived:
+                    stats["derived_rule_hits"] += 1
+                rule = rule_name(lab, f, derived)
                 for g, gl in exts[0]:
-                    r = insert(state, gl, g, rule)
-                    if isinstance(r, tuple):
-                        closed_reason = r[1]
+                    closed_reason = insert(state, gl, g, rule)
+                    if closed_reason is not None:
                         break
                 if closed_reason is not None:
                     break
                 continue
-            # Pre-filter the extensions against the branch's labels.  An
-            # extension the branch already contains satisfies the rule, so no
-            # split is needed (any valuation satisfying the branch satisfies
-            # that extension).  An extension assigning a second label to a
-            # formula closes immediately; record the closure without cloning.
-            satisfied = False
-            survivors = []
-            conflicted = []
-            for ext in exts:
-                all_dup = True
-                conflict = None
-                for g, gl in ext:
-                    have = state.labels.get(g)
-                    if have is None:
-                        all_dup = False
-                    elif have != gl:
-                        conflict = (g, gl)
-                        break
-                if conflict is not None:
-                    conflicted.append((ext, conflict))
-                elif all_dup:
-                    satisfied = True
-                    break
-                else:
-                    survivors.append(ext)
+            if not state.branching:
+                break
+            (lab, f, exts, derived), (satisfied, survivors, conflicted) = \
+                pop_branching(state)
+            if derived:
+                stats["derived_rule_hits"] += 1
             if satisfied:
                 continue
+            rule = rule_name(lab, f, derived)
             for ext, (g, gl) in conflicted:
                 stats["branches"] += 1
                 stats["closures"] += 1
-                stats["contains_closed_branch"] = True
                 if build_tree:
                     reason = f"label conflict on {g.text}"
                     leaf = state.leaf
@@ -658,21 +700,22 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                     leaf.status = f"closed: {reason}"
                     finished.append(Branch(list(state.order) + [(gl, g)],
                                            "closed", reason))
+            # The last survivor takes the branch itself, so a forced step
+            # clones nothing; every other survivor gets a copy.
             children = []
-            for ext in survivors:
-                child = state.clone()
+            last = len(survivors) - 1
+            for i, ext in enumerate(survivors):
+                child = state if i == last else state.clone()
                 child_closed = None
                 for g, gl in ext:
-                    r = insert(child, gl, g, rule)
-                    if isinstance(r, tuple):
-                        child_closed = r[1]
+                    child_closed = insert(child, gl, g, rule)
+                    if child_closed is not None:
                         break
                 if child_closed is not None:
                     finish(child, "closed", child_closed)
                 else:
                     children.append(child)
-            for child in reversed(children):
-                stack.append(child)
+            stack.extend(reversed(children))
             state = None
             break
         if state is None:

@@ -40,16 +40,17 @@ DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (
     "prove() results (build_tree=False, stop_on_open=True, default max_nodes), "
-    "recorded before the per-proof expansion memo. Corpus: random.Random(20110510); "
-    "per logic, 40 random_formula goals over p, q, r (sizes up to C1/mbCcl/Cila 7, "
-    "C2 6, C3 5, C4 4 connectives; every third goal with 1-2 premises of 0-3 "
-    "connectives; use_derived on every odd goal), then one instance of each axiom "
-    "schema with substituents of 0-2 connectives (0-1 in C3/C4), proved with "
-    "use_derived on. branch_records are [status, reason, [[label, formula text], "
-    "...]]; countermodel maps formula text to value index. trees: per logic, the "
-    "first 2 random goals and the first 2 axiom instances (those that fire a "
-    "derived rule first) whose completed tableau has at most 300 nodes, rerun "
-    "with build_tree=True, stop_on_open=False; text is their tableau_to_text.")
+    "recorded with unit-first branching (forced splits before real ones). "
+    "Corpus: random.Random(20110510); per logic, 40 random_formula goals over "
+    "p, q, r (sizes up to C1/mbCcl/Cila 7, C2 6, C3 5, C4 4 connectives; every "
+    "third goal with 1-2 premises of 0-3 connectives; use_derived on every odd "
+    "goal), then one instance of each axiom schema with substituents of 0-2 "
+    "connectives (0-1 in C3/C4), proved with use_derived on. branch_records are "
+    "[status, reason, [[label, formula text], ...]]; countermodel maps formula "
+    "text to value index. trees: per logic, the first 2 random goals and the "
+    "first 2 axiom instances (those that fire a derived rule first) whose "
+    "completed tableau has at most 300 nodes, rerun with build_tree=True, "
+    "stop_on_open=False; text is their tableau_to_text.")
 PROVE_MAX = {"C1": 7, "C2": 6, "C3": 5, "C4": 4, "mbCcl": 7, "Cila": 7}
 AXIOM_MAX = {"C1": 2, "C2": 2, "C3": 1, "C4": 1, "mbCcl": 2, "Cila": 2}
 TREES_PER_PART, TREE_NODES = 2, 300

@@ -144,8 +144,7 @@ class TestDecideJson:
         }
         assert set(doc["stats"]["tableau"]) == {
             "nodes", "branches", "closures", "derived_rule_hits",
-            "contains_closed_branch", "all_branches_closed",
-            "completed", "early_stop", "elapsed",
+            "all_branches_closed", "completed", "early_stop", "elapsed",
         }
 
     def test_valid_formula_has_null_countermodel(self, capsys):
@@ -224,6 +223,34 @@ class TestDisagreementGuard:
         code, out, _ = run_cli(capsys, "decide", "--logic", "C1", "--stdin")
         assert code == 4
         assert out.splitlines() == ["disagreement\tp -> p"]
+
+
+def broken_decide(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+class TestInternalError:
+    """An unexpected exception is a bug: exit 5 with one message line, never
+    a traceback or exit 1 (which reads as "not entailed")."""
+
+    def test_single_goal(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.truthtable, "decide", broken_decide)
+        code, out, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--formula", "p -> p",
+        )
+        assert code == 5
+        assert out == ""
+        assert err == "dacosta: internal error: RuntimeError('boom')\n"
+
+    def test_batch_answers_other_lines(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.truthtable, "decide", broken_decide)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p -> p\np | (q\n"))
+        code, out, err = run_cli(capsys, "decide", "--logic", "C1", "--stdin")
+        assert code == 5
+        assert out == ""
+        assert err.splitlines()[0] == \
+            "error\tp -> p\tinternal error: RuntimeError('boom')"
+        assert err.splitlines()[1].startswith("error\tp | (q\t")
 
 
 class TestStdinBatch:
