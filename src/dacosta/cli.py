@@ -338,7 +338,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command")
 
     d = sub.add_parser("decide", help="decide validity / entailment")
-    d.add_argument("--logic", required=True, help="C1..C9, mbCcl or Cila")
+    d.add_argument("--logic", required=True, help="C1..C32, mbCcl or Cila")
     d.add_argument("--formula", help="goal formula")
     d.add_argument("--premises", help="semicolon-separated premise formulas")
     d.add_argument("--method", choices=("table", "tableau", "both"), default="both")

@@ -185,6 +185,12 @@ MBCCL = Logic("mbCcl", 1)
 CILA = Logic("Cila", 1)
 
 
+# The largest C_n index parse_logic accepts.  The tables and tableau rules of
+# C_n take O(n^3) memory (about 8 MB at n = 32, 58 MB at n = 64); C(n) itself
+# stays unbounded for library callers.
+MAX_PARSED_N = 32
+
+
 def parse_logic(name):
     s = name.strip().lower()
     if s == "mbccl":
@@ -192,9 +198,10 @@ def parse_logic(name):
     if s == "cila":
         return CILA
     m = re.fullmatch(r"c(\d+)", s)
-    if m and int(m.group(1)) >= 1:
+    if m and 1 <= int(m.group(1)) <= MAX_PARSED_N:
         return C(int(m.group(1)))
-    raise ValueError(f"unknown logic {name!r}; expected C1, C2, ..., mbCcl or Cila")
+    raise ValueError(f"unknown logic {name!r}; expected C1..C{MAX_PARSED_N}, "
+                     "mbCcl or Cila")
 
 
 # --------------------------------------------------------------------------

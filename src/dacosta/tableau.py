@@ -43,8 +43,10 @@ extending them to a restricted valuation over the subformula domain.
 
 Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
-They exist for C_n and Cila; mbCcl has none (in its tables ~x can designate
-x^1 freely, so the shortcuts would be unsound there).
+The rules for x^k, ~(x^k) and x^k & ~(x^k) are computed from `algebra`'s
+tables and restriction: each extension pins the tower's root to one value
+under which the formula takes the label.  mbCcl has none: there ~x can
+designate x^1 freely, so x^1 is not a function of x.
 
 Within one proof, the expansion of each signed formula is resolved once:
 formulas are interned, so `prove` keeps a memo keyed by (label, formula)
@@ -63,7 +65,7 @@ from functools import lru_cache
 
 from . import algebra
 from .errors import ResourceLimitError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Imp, Neg,
+from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Imp, Logic, Neg,
                       ordered_subformulas, pow)
 from .truthtable import extend_partial
 
@@ -76,7 +78,6 @@ _CONN_LABEL = {NEG: "~", CONS: "@", AND: "&", OR: "|", IMP: "->"}
 class SignedFormula:
     label: int
     formula: object
-    used: bool = False
 
     def render(self, logic):
         return f"{algebra.value_names(logic)[self.label]}({self.formula.text})"
@@ -205,55 +206,24 @@ def _expand_raw(logic, label, f):
 def _derived_raw(logic, label, f):
     """Derived extensions as for _expand_raw, () meaning close-now (star),
     or None when no derived rule matches."""
-    if logic.family == "mbCcl":
-        return None
     n = logic.n
-    T, F = 0, n + 1
+    if _pow_chain_step(logic.family, n) is None:
+        return None  # the pow chain is not a function of the base (mbCcl)
 
-    base = f.conj_base
-    if base is not None:
-        k = base.pow_height
-        beta = base.pow_base
-        if label == T:
-            if k <= n - 1:
-                return (((beta, k + 1),),)
-            return ()
-        if label == F:
-            if k <= n - 1:
-                return (((beta, T),),) + tuple(((beta, j + 1),) for j in range(k)) \
-                    + (((beta, F),),)
-            return None  # fall back to the basic F(&) split
-        # label is some t^n_s
-        if k <= n - 2:
-            return tuple(((beta, j + 1),) for j in range(k + 1, n))
-        return ()
-
-    if f.pow_height >= 1:
-        k = f.pow_height
-        u = min(k, n)
-        root = pow(f.pow_base, k - u)
-        if label == T:
-            return (((root, T),),) + tuple(((root, j + 1),) for j in range(u - 1)) \
-                + (((root, F),),)
-        if label == F:
-            return (((root, u),),)
-        s = label - 1
-        if s <= n - u - 1:
-            return (((root, s + u + 1),),)
-        return ()
-
-    if n >= 2 and f.kind == NEG and f.left.pow_height >= 1:
-        k = f.left.pow_height
-        u = min(k, n)
-        root = pow(f.left.pow_base, k - u)
-        if label == T:
-            return tuple(((root, j + 1),) for j in range(u - 1, n))
-        if label == F:
-            return (((root, T),),) + tuple(((root, j + 1),) for j in range(u - 1)) \
-                + (((root, F),),)
-        if u <= n - 1:
-            return tuple(((root, j + 1),) for j in range(u, n))
-        return ()
+    # The towers: f is y & ~y, y or ~y (n >= 2) with y = root^u.  One
+    # extension per root value under which f can take the label.
+    shape = None
+    if f.conj_base is not None:
+        shape, root, u = _CONJ, f.conj_base.pow_base, f.conj_base.pow_height
+    elif f.pow_height >= 1 or (n >= 2 and f.kind == NEG and f.left.pow_height >= 1):
+        shape, y = (_POW, f) if f.pow_height >= 1 else (_NEG, f.left)
+        u = min(y.pow_height, n)
+        root = pow(y.pow_base, y.pow_height - u)
+    if shape is not None:
+        reach = _tower_values(logic.family, n, min(u, n + 1))
+        exts = tuple(((root, s),) for s, values in enumerate(reach)
+                     if label in values[shape])
+        return None if len(exts) == len(reach) else exts
 
     if f.kind == AND:
         seq = _powseq_decompose(f)
@@ -261,6 +231,7 @@ def _derived_raw(logic, label, f):
             return _powseq_extensions(logic, seq[0], seq[1], label)
 
     if n == 1 and f.kind == AND and f.left.pow_height >= 1 and f.right.pow_height >= 1:
+        T, F = 0, 2
         x = f.left.left.conj_base
         y = f.right.left.conj_base
         if label == T:
@@ -293,40 +264,59 @@ def _powseq_decompose(f):
     return base, len(parts)
 
 
+def _conj_values(logic, v):
+    """The values x & ~x can take when x has value v, under the restriction."""
+    tab = algebra.tables(logic)
+    conj = {c for w in tab["neg"][v] for c in tab["and"][v][w]}
+    forced = algebra.forced_conj_cells(logic)[v]
+    return conj if forced is None else conj & forced
+
+
 @lru_cache(maxsize=None)
 def _pow_chain_step(family, n):
-    """The successor map s -> value of x^1 when x has value s.  The
-    restriction clauses pin the contradiction x & ~x for every inconsistent
-    value, so the whole pow chain is a function of the base's value."""
-    from .formula import Logic
+    """The successor map s -> value of x^1 when x has value s, or None when
+    x^1 is not a function of x (mbCcl).  In C_n and Cila the restriction
+    clauses pin the contradiction x & ~x for every inconsistent value, so
+    the whole pow chain is a function of the base's value."""
     logic = Logic(family, n)
-    tab = algebra.tables(logic)
-    forced_conj = algebra.forced_conj_cells(logic)
+    neg = algebra.tables(logic)["neg"]
     forced_pow1 = algebra.forced_pow1_values(logic)
     step = []
     for s in range(n + 2):
-        if forced_pow1 is not None and forced_pow1[s] is not None:
+        if forced_pow1[s] is not None:
             step.append(forced_pow1[s])
             continue
-        conj = set()
-        for w in tab["neg"][s]:
-            conj.update(tab["and"][s][w])
-        if forced_conj[s] is not None:
-            conj &= forced_conj[s]
-        nxt = set()
-        for c in conj:
-            nxt.update(tab["neg"][c])
+        nxt = {w for c in _conj_values(logic, s) for w in neg[c]}
         if len(nxt) != 1:
-            raise AssertionError(f"pow chain not deterministic at state {s}")
+            return None
         step.append(nxt.pop())
     return tuple(step)
+
+
+_POW, _NEG, _CONJ = range(3)
+
+
+@lru_cache(maxsize=None)
+def _tower_values(family, n, u):
+    """Per root value s: the values y, ~y and y & ~y can take, y = root^u
+    (indexed by _POW, _NEG, _CONJ).  The chain is constant from u = n + 1
+    on, so callers clamp u there."""
+    logic = Logic(family, n)
+    step = _pow_chain_step(family, n)
+    neg = algebra.tables(logic)["neg"]
+    out = []
+    for s in range(n + 2):
+        v = s
+        for _ in range(u):
+            v = step[v]
+        out.append(((v,), neg[v], _conj_values(logic, v)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _powseq_profiles(family, n, k):
     """For each base value s: the forced labels (v_1..v_k) of x^1..x^k and
     the set of values the chain conjunction x^(k) can take."""
-    from .formula import Logic
     logic = Logic(family, n)
     step = _pow_chain_step(family, n)
     and_tab = algebra.tables(logic)["and"]
@@ -466,18 +456,22 @@ class ProveResult:
 
 
 class _BranchState:
-    __slots__ = ("labels", "order", "simple", "branching", "leaf")
+    __slots__ = ("labels", "simple", "branching", "leaf")
 
-    def __init__(self, labels, order, simple, branching, leaf):
-        self.labels = labels
-        self.order = order
+    def __init__(self, labels, simple, branching, leaf):
+        self.labels = labels  # insertion-ordered; a formula enters once
         self.simple = simple
         self.branching = branching
         self.leaf = leaf
 
     def clone(self):
-        return _BranchState(dict(self.labels), list(self.order),
-                            deque(self.simple), deque(self.branching), self.leaf)
+        return _BranchState(dict(self.labels), deque(self.simple),
+                            deque(self.branching), self.leaf)
+
+
+def _signed(state):
+    """The branch's (label, formula) pairs in insertion order."""
+    return [(lab, f) for f, lab in state.labels.items()]
 
 
 def _prefilter(labels, exts):
@@ -594,7 +588,6 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             return f"label conflict on {f.text}" if build_tree else "label conflict"
         reason = _closes(logic, state.labels, f, lab, partners)
         state.labels[f] = lab
-        state.order.append((lab, f))
         state.leaf = make_node(lab, f, rule, state.leaf)
         stats["nodes"] += 1
         if stats["nodes"] > max_nodes:
@@ -625,9 +618,9 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         # Bulk mode keeps only open branches (closed-branch records on large
         # tableaux would dominate memory); tree mode records everything.
         if build_tree or status == "open":
-            finished.append(Branch(list(state.order), status, reason))
+            finished.append(Branch(_signed(state), status, reason))
 
-    root_state = _BranchState({}, [], deque(), deque(), None)
+    root_state = _BranchState({}, deque(), deque(), None)
     reason = insert(root_state, F, root_formula, "root")
     root_node = root_state.leaf if build_tree else None
     stack = []
@@ -698,7 +691,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                         if h is g:
                             break
                     leaf.status = f"closed: {reason}"
-                    finished.append(Branch(list(state.order) + [(gl, g)],
+                    finished.append(Branch(_signed(state) + [(gl, g)],
                                            "closed", reason))
             # The last survivor takes the branch itself, so a forced step
             # clones nothing; every other survivor gets a copy.
@@ -734,7 +727,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 stats["all_branches_closed"] = False
                 if build_tree and st.leaf is not None:
                     st.leaf.status = "unexplored"
-                finished.append(Branch(list(st.order), "open", "unexplored"))
+                finished.append(Branch(_signed(st), "open", "unexplored"))
             break
 
     proved = stats["all_branches_closed"]

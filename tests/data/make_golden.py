@@ -13,6 +13,7 @@ figure, and say so where the change is described.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import random
@@ -188,18 +189,36 @@ def main(argv=None):
     ap.add_argument("--check", action="store_true",
                     help="compare with the committed files instead of writing")
     args = ap.parse_args(argv)
-    stale = []
+    stale = 0
     for name, render in FILES.items():
         text = render()
         path = DATA / name
-        if args.check:
-            if not path.exists() or path.read_text() != text:
-                stale.append(name)
-        else:
+        if not args.check:
             path.write_text(text)
-    for name in stale:
-        print(f"{name} differs from the current source's output", file=sys.stderr)
+            continue
+        old = path.read_text() if path.exists() else None
+        if old != text:
+            print(f"{name} is missing" if old is None else
+                  f"{name} differs from the current source's output at "
+                  + _first_difference(old, text), file=sys.stderr)
+            stale += 1
     return 1 if stale else 0
+
+
+def _first_difference(old, new):
+    """Where two renderings first differ: the line number and, when that
+    line is a record, its logic and goal."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for number, (was, now) in enumerate(
+            itertools.zip_longest(old_lines, new_lines), 1):
+        if was != now:
+            break
+    where = f"line {number}"
+    try:
+        record = json.loads((now if now is not None else was).strip().rstrip(","))
+        return where + f" (logic {record['logic']}, goal {record['goal']})"
+    except (ValueError, TypeError, KeyError):
+        return where
 
 
 if __name__ == "__main__":

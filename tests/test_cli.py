@@ -94,6 +94,13 @@ class TestDecideText:
         assert code == 2
         assert err.startswith("dacosta:")
 
+    def test_hierarchy_index_past_bound(self, capsys):
+        code, out, err = run_cli(capsys, "decide", "--logic", "C33", "--formula", "p")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == ("dacosta: unknown logic 'C33'; expected C1..C32, "
+                               "mbCcl or Cila")
+
     def test_missing_formula(self, capsys):
         code, _, err = run_cli(capsys, "decide", "--logic", "C1")
         assert code == 2

@@ -200,6 +200,14 @@ class TestLogicNames:
             with pytest.raises(ValueError):
                 parse_logic(bad)
 
+    def test_hierarchy_index_is_bounded(self):
+        # C_n's tables grow as n^3, so names stop at C32; C(n) does not.
+        assert parse_logic("C32") == C(32)
+        for bad in ["C33", "C64", "C1000000"]:
+            with pytest.raises(ValueError, match="C1..C32"):
+                parse_logic(bad)
+        assert C(33).n == 33
+
     def test_names_and_signature(self):
         assert C(3).name == "C3"
         assert MBCCL.name == "mbCcl"

@@ -39,7 +39,9 @@ from dacosta.tableau import (
     _pow_chain_step,
     _prefilter,
 )
-from dacosta.truthtable import check_valuation, decide
+from dacosta.errors import ExtensionError
+from dacosta.formula import NEG, ordered_subformulas
+from dacosta.truthtable import check_valuation, decide, extend_partial
 
 from conftest import random_corpus
 
@@ -204,6 +206,8 @@ class TestDerivedRules:
         assert _pow_chain_step("C", 1) == (0, 2, 0)
         assert _pow_chain_step("C", 2) == (0, 3, 1, 0)
         assert _pow_chain_step("C", 3) == (0, 4, 1, 2, 0)
+        # In mbCcl ~F can be T or t, so x^1 is no function of x.
+        assert _pow_chain_step("mbCcl", 1) is None
 
     def test_chain_sends_booleans_to_true(self):
         for n in range(1, 5):
@@ -211,6 +215,49 @@ class TestDerivedRules:
             assert step[0] == 0
             assert step[n + 1] == 0
             assert step[1] == n + 1  # consistency mark of t_0 is F
+
+
+class TestDerivedRuleCoherence:
+    """Each derived tower rule against the semantics: for every label, the
+    root values its extensions give are exactly the values of x under which
+    some restricted valuation of f's subformulas gives f that label.  Each
+    extension is satisfiable whole, () means no value is, and None means
+    every value is, save where no rule exists: mbCcl, and ~(x^k) at n = 1."""
+
+    @staticmethod
+    def towers(n):
+        return ([pow(X, k) for k in range(1, n + 1)]
+                + [Neg(pow(X, k)) for k in range(1, n + 1)]
+                + [And(pow(X, k), Neg(pow(X, k))) for k in range(0, n + 1)]
+                + [powseq(X, k) for k in range(2, n + 2)])
+
+    @staticmethod
+    def satisfiable(lg, f, pins):
+        try:
+            extend_partial(lg, ordered_subformulas(f), pins)
+        except ExtensionError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("lg", [C(1), C(2), C(3), MBCCL, CILA], ids=str)
+    def test_rules_match_restricted_valuations(self, lg):
+        values = range(domain_size(lg))
+        for f in self.towers(lg.n):
+            for label in values:
+                reach = {s for s in values
+                         if self.satisfiable(lg, f, {X: s, f: label})}
+                exts = expand_derived(lg, SignedFormula(label, f))
+                if exts is None:
+                    assert (lg == MBCCL or (lg.n == 1 and f.kind == NEG)
+                            or reach == set(values)), (f.text, label)
+                    continue
+                assert lg != MBCCL
+                roots = []
+                for ext in exts:
+                    pins = {sf.formula: sf.label for sf in ext}
+                    roots.append(pins[X])
+                    assert self.satisfiable(lg, f, {**pins, f: label}), (f, ext)
+                assert sorted(roots) == sorted(reach), (f.text, label)
 
 
 class TestClosure:
@@ -479,6 +526,33 @@ class TestProveGolden:
             got = prove_record(query, tree=tree)
             assert set(got) | set(query) == set(row)
             assert got == {k: row[k] for k in got}, query
+
+
+class TestTreeAndBulkStats:
+    """`prove` counts the same search with and without a recorded tree."""
+
+    @pytest.mark.parametrize("stop_on_open", [True, False])
+    def test_stats_match(self, stop_on_open):
+        golden = json.loads((DATA / "prove_golden.json").read_text())
+        parsed = load_make_golden()._parsed
+        for row in golden["queries"] + golden["trees"]:
+            stats = []
+            for build_tree in (True, False):
+                res = prove(*parsed(row), use_derived=row["use_derived"],
+                            stop_on_open=stop_on_open, build_tree=build_tree)
+                stats.append({k: v for k, v in res.tableau.stats.items()
+                              if k != "elapsed"})
+            assert stats[0] == stats[1], row
+
+    def test_tree_draws_prefilter_conflicts(self):
+        # A split's extension that conflicts with the branch is drawn as a
+        # closed leaf but never inserted, so `nodes` does not count it.
+        res = prove(C(1), parse("p -> p & ~p"), stop_on_open=False)
+
+        def count(node):
+            return 1 + sum(count(c) for c in node.children)
+
+        assert (count(res.tableau.root), res.tableau.stats["nodes"]) == (10, 8)
 
 
 class _AlgebraSpy:
