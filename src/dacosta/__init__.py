@@ -18,8 +18,8 @@ from .errors import (DacostaError, DomainError, ExtensionError, ParseError,
                      ResourceLimitError)
 from .formula import (CILA, MBCCL, And, C, Cons, Formula, Imp, Logic, Neg, Or,
                       Var, complexity, contradiction_base, is_pow1,
-                      ordered_subformulas, parse, parse_logic, pow,
-                      pow_decompose, powseq, random_formula, strong_neg)
+                      ordered_subformulas, parse, parse_logic, postorder,
+                      pow, pow_decompose, powseq, random_formula, strong_neg)
 from .tableau import (Branch, Node, ProveResult, SignedFormula, Tableau,
                       expand, expand_derived, extract_countermodel,
                       fold_premises, prove, tableau_to_json, tableau_to_text)
@@ -40,7 +40,8 @@ __all__ = [
     "contradiction_base", "decide", "designated", "domain_size", "expand",
     "expand_derived", "extend_partial", "extract_countermodel",
     "fold_premises", "inconsistent", "instantiate", "is_pow1", "mult_op",
-    "ordered_subformulas", "parse", "parse_logic", "pow", "pow_decompose",
+    "ordered_subformulas", "parse", "parse_logic", "postorder", "pow",
+    "pow_decompose",
     "powseq", "prove", "random_formula", "random_instance", "render_table",
     "render_tables", "schema_by_name", "schemata", "snapshots",
     "strong_neg", "table_verdict", "tableau_to_json", "tableau_to_text",

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from . import algebra
 from .errors import DomainError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Cons, Neg, Logic,
-                      parse, pow)
+from .formula import (NEG, CONS, AND, OR, IMP, And, Cons, Neg, Logic,
+                      parse, postorder, pow)
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,13 @@ def closure(logic, seeds):
     logics additionally contribute @g and ~@g.  The union is then closed under
     subformulas.
     """
-    n = logic.n
-    out = set()
-    stack = []
+    roots = []
     for g in seeds:
-        stack.append(g)
-        stack.append(Neg(g))
-        stack.append(And(g, Neg(g)))
-        for k in range(1, n + 1):
-            stack.append(pow(g, k))
+        roots += [g, Neg(g), And(g, Neg(g))]
+        roots += [pow(g, k) for k in range(1, logic.n + 1)]
         if logic.has_circ:
-            stack.append(Cons(g))
-            stack.append(Neg(Cons(g)))
-            stack.append(Neg(And(g, Neg(g))))
-    while stack:
-        f = stack.pop()
-        if f in out:
-            continue
-        out.add(f)
-        if f.kind in (NEG, CONS):
-            stack.append(f.left)
-        elif f.kind != VAR:
-            stack.append(f.left)
-            stack.append(f.right)
-    return sorted(out, key=lambda f: (f.complexity, f.text))
+            roots += [Cons(g), Neg(Cons(g)), Neg(And(g, Neg(g)))]
+    return sorted(postorder(*roots), key=lambda f: (f.complexity, f.text))
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,9 @@ ASCII connective spellings (Unicode aliases accepted by the parser):
 
 Precedence, loosest first: ->  |  &  {~, @, ^k}; -> associates right, & and |
 left.  The ^k and ^(k) forms are input sugar only and never appear as AST nodes.
+The text of f^k doubles per level, so the parser refuses (ParseError; exit 2
+on the command line) a ^k or ^(k) whose text would pass MAX_SUGAR_TEXT
+characters, before building it.
 """
 
 from __future__ import annotations
@@ -40,16 +43,21 @@ class Formula:
     """An interned propositional formula node.
 
     Do not call directly; use Var/Neg/Cons/And/Or/Imp or parse().  Identity is
-    structural equality.  Besides the shape, each node caches:
+    structural equality.  Besides the shape (kind, name for atoms, left and
+    right arguments, None where absent), each node caches:
 
       complexity  - 0 for atoms, +1 per ~/&/|/->, +2 per @
       text        - canonical ASCII rendering with minimal parentheses
       pow_base, pow_height - maximal decomposition f = base^height
       conj_base   - b when f is literally b & ~b, else None
+
+    Nothing else is kept per node.  Subformulas are listed on demand by
+    postorder() (each once, after its arguments) or ordered_subformulas()
+    (sorted by complexity and text); neither caches its answer.
     """
 
     __slots__ = ("kind", "name", "left", "right", "complexity", "text",
-                 "pow_base", "pow_height", "conj_base", "_subs")
+                 "pow_base", "pow_height", "conj_base")
 
     def __str__(self):
         return self.text
@@ -57,36 +65,24 @@ class Formula:
     def __repr__(self):
         return f"<Formula {self.text!r}>"
 
-    def atoms(self):
-        seen = set()
-        out = []
-        stack = [self]
-        while stack:
-            f = stack.pop()
-            if f.kind == VAR:
-                if f.name not in seen:
-                    seen.add(f.name)
-                    out.append(f.name)
-            elif f.kind in (NEG, CONS):
-                stack.append(f.left)
-            else:
-                stack.append(f.right)
-                stack.append(f.left)
-        return sorted(out)
-
-
 _interned: dict = {}
 
 
-def _child_text(child, parent_kind, right_side=False):
-    need = _PREC[child.kind] < _PREC[parent_kind]
-    if not need and child.kind == parent_kind:
+def _parenthesized(child_kind, parent_kind, right_side=False):
+    need = _PREC[child_kind] < _PREC[parent_kind]
+    if not need and child_kind == parent_kind:
         # Same precedence level: parenthesize against the associativity.
         if parent_kind == IMP:
             need = not right_side
         elif parent_kind in (AND, OR):
             need = right_side
-    return "(" + child.text + ")" if need else child.text
+    return need
+
+
+def _child_text(child, parent_kind, right_side=False):
+    if _parenthesized(child.kind, parent_kind, right_side):
+        return "(" + child.text + ")"
+    return child.text
 
 
 def _make(kind, name, left, right):
@@ -99,7 +95,6 @@ def _make(kind, name, left, right):
     f.name = name
     f.left = left
     f.right = right
-    f._subs = None
     if kind == VAR:
         f.complexity = 0
         f.text = name
@@ -258,19 +253,30 @@ def complexity(f):
 # Subformula ordering
 
 
-def _collect(f, seen, out):
-    stack = [f]
+def postorder(*roots):
+    """Every distinct subformula of `roots`, each once and after its arguments.
+
+    The walk goes left argument before right and root by root, and keeps an
+    explicit stack, so a formula's depth is bounded by memory, not by the
+    interpreter's recursion limit.  Both decision procedures, the bivaluation
+    closure and the tableau's countermodel domain take their subformulas from
+    here.
+    """
+    order = []
+    seen = set()
+    stack = [(f, False) for f in reversed(roots)]
     while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        out.append(g)
-        if g.kind in (NEG, CONS):
-            stack.append(g.left)
-        elif g.kind != VAR:
-            stack.append(g.left)
-            stack.append(g.right)
+        f, done = stack.pop()
+        if done:
+            order.append(f)
+        elif f not in seen:
+            seen.add(f)
+            stack.append((f, True))
+            if f.right is not None:
+                stack.append((f.right, False))
+            if f.left is not None:
+                stack.append((f.left, False))
+    return order
 
 
 def ordered_subformulas(goal, premises=()):
@@ -280,18 +286,8 @@ def ordered_subformulas(goal, premises=()):
     and reproducible across runs; atoms come first, the goal last (when the goal
     is not itself a premise subformula).
     """
-    if not premises:
-        cached = goal._subs
-        if cached is not None:
-            return list(cached)
-    seen = set()
-    out = []
-    _collect(goal, seen, out)
-    for p in premises:
-        _collect(p, seen, out)
+    out = postorder(goal, *premises)
     out.sort(key=lambda g: (g.complexity, g.text))
-    if not premises:
-        goal._subs = tuple(out)
     return out
 
 
@@ -326,6 +322,42 @@ def _tokenize(text):
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# The longest text that one ^k or ^(k) may produce.  The text of f^k at
+# least doubles per level, so without a bound a few characters of input
+# could ask for gigabytes.
+MAX_SUGAR_TEXT = 1 << 20
+
+
+def _pow_text_lengths(f):
+    """len(f^1.text), len(f^2.text), ... without building the formulas."""
+    size = len(f.text)
+    # f^1 = ~(f & ~f), where f may take parentheses twice; from then on
+    # f^i is a negation and takes none.
+    size = (2 * size + 7 + 2 * _parenthesized(f.kind, AND)
+            + 2 * _parenthesized(f.kind, NEG))
+    while True:
+        yield size
+        size = 2 * size + 7
+
+
+def _sugar_exponent(f, digits, seq, pos):
+    """k of f^k, or of f^(k) when `seq`; ParseError at `pos` when the text
+    of the result would be longer than MAX_SUGAR_TEXT characters."""
+    # f^100 and up is past the limit for every f, so a longer digit string
+    # is never converted to an int.
+    significant = digits.lstrip("0") or "0"
+    k = int(significant) if len(significant) <= 2 else None
+    size = len(f.text)
+    for i, power in enumerate(_pow_text_lengths(f)):
+        if i == k:
+            return k
+        # f^(k) = f^1 & ... & f^k: the powers plus k - 1 separators " & "
+        size = power + (size + 3 if seq and i else 0)
+        if size > MAX_SUGAR_TEXT:
+            raise ParseError("exponent too large: the power's text would pass "
+                             f"{MAX_SUGAR_TEXT} characters", pos)
 
 
 class _Parser:
@@ -402,13 +434,13 @@ class _Parser:
         t = self.peek()
         if t[0] == "num":
             self.next()
-            return pow(f, int(t[1]))
+            return pow(f, _sugar_exponent(f, t[1], False, pos))
         if (t[0] == "lp" and self.tokens[self.i + 1][0] == "num"
                 and self.tokens[self.i + 2][0] == "rp"):
             self.next()
-            k = int(self.next()[1])
+            digits = self.next()[1]
             self.next()
-            return powseq(f, k)
+            return powseq(f, _sugar_exponent(f, digits, True, pos))
         raise ParseError("expected integer after '^'", t[2])
 
     def primary(self):

@@ -39,7 +39,11 @@ rule reaches the same set of valuations over the open leaves; unit-first
 only reaches it through fewer nodes.
 
 An open complete branch yields a countermodel by reading off its labels and
-extending them to a restricted valuation over the subformula domain.
+extending them to a restricted valuation over the subformula domain, which
+`formula.postorder` lists.  `prove` records the branch but does not extend
+it: `ProveResult.countermodel` does that when it is first read, so a caller
+that takes its countermodel elsewhere (the command line with both engines
+takes `decide`'s) never pays for the extension.
 
 Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
@@ -61,12 +65,12 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import algebra
 from .errors import ResourceLimitError
 from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Imp, Logic, Neg,
-                      ordered_subformulas, pow)
+                      postorder, pow)
 from .truthtable import extend_partial
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -452,7 +456,15 @@ class ProveResult:
     premises: tuple
     proved: bool
     tableau: object
-    countermodel: object  # Valuation | None
+
+    @cached_property
+    def countermodel(self):
+        """Valuation | None: the first complete open branch's labels, extended
+        to a restricted valuation when this is first read."""
+        for branch in self.tableau.branches:
+            if branch.status == "open" and branch.reason != "unexplored":
+                return _extract(self.logic, branch.labels)
+        return None
 
 
 class _BranchState:
@@ -522,10 +534,11 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     applies its non-branching steps first (closing ones ahead), then the
     first queued split its labels force to at most one extension, and only
     then the oldest real split; see the module docstring for why the order
-    cannot change a verdict.  On failure, an open complete branch provides
-    `countermodel`.  With stop_on_open (default) expansion stops at the first
-    open complete branch; pass False to complete the whole tableau (CLI
-    dumps, invariants).  Raises ResourceLimitError past max_nodes
+    cannot change a verdict.  On failure, the first open complete branch
+    provides `countermodel`, extended when it is first read.  With
+    stop_on_open (default) expansion stops at the first open complete
+    branch; pass False to complete the whole tableau (CLI dumps,
+    invariants).  Raises ResourceLimitError past max_nodes
     insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
 
     A (label, formula) that many branches insert resolves its rule once per
@@ -544,7 +557,6 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         "all_branches_closed": True, "completed": True, "early_stop": False,
     }
     finished = []  # Branch records
-    open_branch_state = None
     expansions = {}  # (label, formula) -> (extensions, derived), per proof
     partners = {}    # formula -> closure partners, see _closes
     names = algebra.value_names(logic) if build_tree else None
@@ -717,8 +729,6 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             finish(state, "closed", closed_reason)
             continue
         finish(state, "open")
-        if open_branch_state is None:
-            open_branch_state = state
         if stop_on_open:
             stats["early_stop"] = bool(stack)
             stats["completed"] = not stack
@@ -730,21 +740,14 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 finished.append(Branch(_signed(st), "open", "unexplored"))
             break
 
-    proved = stats["all_branches_closed"]
-    countermodel = None
-    if open_branch_state is not None:
-        countermodel = _extract(logic, open_branch_state.labels)
     stats["elapsed"] = time.perf_counter() - start
     tableau = Tableau(logic, root_node, finished, stats)
-    return ProveResult(logic, goal, premises, proved, tableau, countermodel)
+    return ProveResult(logic, goal, premises, stats["all_branches_closed"],
+                       tableau)
 
 
 def _extract(logic, labels):
-    domain = set()
-    for f in labels:
-        for g in ordered_subformulas(f):
-            domain.add(g)
-    return extend_partial(logic, domain, dict(labels))
+    return extend_partial(logic, postorder(*labels), labels)
 
 
 def extract_countermodel(branch, logic):
@@ -764,20 +767,20 @@ def extract_countermodel(branch, logic):
 
 
 def tableau_to_text(tableau):
+    """One line per node in preorder, indented two spaces per level.  The
+    walk keeps an explicit stack, so deep trees need no recursion."""
+    if tableau.root is None:
+        return "(tree not recorded)"
     names = algebra.value_names(tableau.logic)
     lines = []
-
-    def walk(node, depth):
+    stack = [(tableau.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         tag = f"{names[node.label]}({node.formula.text})"
         status = f"  [{node.status}]" if node.status else ""
         rule = f"  <{node.rule}>" if node.rule and node.rule != "root" else ""
         lines.append("  " * depth + tag + rule + status)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    if tableau.root is None:
-        return "(tree not recorded)"
-    walk(tableau.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)
 
 

@@ -39,7 +39,8 @@ from operator import itemgetter
 
 from . import algebra
 from .errors import ExtensionError, ResourceLimitError
-from .formula import VAR, NEG, CONS, AND, OR, IMP, ordered_subformulas
+from .formula import (VAR, NEG, CONS, AND, OR, IMP, ordered_subformulas,
+                      postorder)
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
@@ -341,33 +342,6 @@ class DecisionResult:
     stats: dict = field(default_factory=dict)
 
 
-def _postorder(goal, premises):
-    order = []
-    seen = set()
-    for root in (goal, *premises):
-        if root in seen:
-            continue
-        stack = [(root, False)]
-        while stack:
-            f, expanded = stack.pop()
-            if expanded:
-                order.append(f)
-                continue
-            if f in seen:
-                continue
-            seen.add(f)
-            stack.append((f, True))
-            if f.kind in (NEG, CONS):
-                if f.left not in seen:
-                    stack.append((f.left, False))
-            elif f.kind != VAR:
-                if f.right not in seen:
-                    stack.append((f.right, False))
-                if f.left not in seen:
-                    stack.append((f.left, False))
-    return order
-
-
 class _Successors(dict):
     """Successor table of one column step, filled on first lookup.
 
@@ -455,7 +429,7 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     """
     start = time.perf_counter()
     premises = tuple(premises)
-    order = _postorder(goal, premises)
+    order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
     ncols = len(order)
     premise_pos = set(plan.premise_ix)
@@ -671,7 +645,7 @@ class _LazyValuation(Valuation):
 
     def _ensure(self, formula):
         if formula not in self.assignment:
-            needed = set(self.assignment) | set(ordered_subformulas(formula))
+            needed = set(self.assignment) | set(postorder(formula))
             wider = extend_partial(self.logic, needed, dict(self.assignment))
             self.assignment.update(wider.assignment)
 

@@ -47,6 +47,22 @@ def random_corpus(logic, count, connectives, seed, atoms=("p", "q", "r")):
             for _ in range(count)]
 
 
+def subformula_set(*roots):
+    """The subformulas of `roots` as a set, by plain recursion (a reference
+    for the iterative walk; keep the formulas shallow)."""
+    out = set()
+
+    def walk(f):
+        out.add(f)
+        for child in (f.left, f.right):
+            if child is not None:
+                walk(child)
+
+    for root in roots:
+        walk(root)
+    return out
+
+
 def live_rows(table):
     return [r for r in table.rows if r.status == "live"]
 

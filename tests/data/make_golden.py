@@ -8,6 +8,10 @@ holds `tableau.prove` results, each on a seeded corpus built here.  The test
 suite (TestDecideGolden, TestProveGolden) replays the files against the
 current source; rewrite them only when a change is meant to move a pinned
 figure, and say so where the change is described.
+
+Every countermodel is replayed before it is recorded: it must pass
+`check_valuation`, designate every premise and leave the goal undesignated.
+One that does not stops both modes with exit 1, and nothing is written.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dacosta import axioms  # noqa: E402
 from dacosta.errors import ResourceLimitError  # noqa: E402
 from dacosta.formula import parse, parse_logic, random_formula  # noqa: E402
 from dacosta.tableau import prove, tableau_to_text  # noqa: E402
-from dacosta.truthtable import decide  # noqa: E402
+from dacosta.truthtable import check_valuation, decide  # noqa: E402
 
 LOGICS = ("C1", "C2", "C3", "C4", "mbCcl", "Cila")
 ATOMS = ("p", "q", "r")
@@ -121,11 +125,36 @@ def _parsed(q):
     return lg, parse(q["goal"], lg), tuple(parse(p, lg) for p in q["premises"])
 
 
-def _countermodel(valuation):
+class BadCountermodel(Exception):
+    """A countermodel that does not refute its query."""
+
+
+def _replay_fault(lg, goal, premises, assignment):
+    """Why `assignment` does not refute the query, or None when it does."""
+    violations = check_valuation(lg, assignment)
+    if violations:
+        _, f, message = violations[0]
+        return f"breaks check_valuation at {f.text}: {message}"
+    if any(f not in assignment for f in (goal, *premises)):
+        return "misses the goal or a premise"
+    if any(assignment[p] > lg.n for p in premises):
+        return "leaves a premise undesignated"
+    if assignment[goal] <= lg.n:
+        return "designates the goal"
+    return None
+
+
+def _countermodel(q, valuation):
+    """The recorded form of a countermodel, once it has replayed."""
     if valuation is None:
         return None
+    assignment = dict(valuation.items())
+    fault = _replay_fault(*_parsed(q), assignment)
+    if fault is not None:
+        raise BadCountermodel(f"countermodel of (logic {q['logic']}, goal "
+                              f"{q['goal']}, premises {q['premises']}) {fault}")
     return {f.text: v for f, v in
-            sorted(valuation.items(), key=lambda kv: (kv[0].complexity, kv[0].text))}
+            sorted(assignment.items(), key=lambda kv: (kv[0].complexity, kv[0].text))}
 
 
 def decide_record(q):
@@ -135,7 +164,7 @@ def decide_record(q):
             "rows_live": res.stats["rows_live"],
             "rows_discarded": res.stats["rows_discarded"],
             "work": res.stats["work"],
-            "countermodel": _countermodel(res.countermodel)}
+            "countermodel": _countermodel(q, res.countermodel)}
 
 
 def prove_record(q, tree=False):
@@ -156,7 +185,7 @@ def prove_record(q, tree=False):
         rec["branch_records"] = [[b.status, b.reason,
                                   [[l, f.text] for l, f in b.signed]]
                                  for b in res.tableau.branches]
-    rec["countermodel"] = _countermodel(res.countermodel)
+    rec["countermodel"] = _countermodel(q, res.countermodel)
     return rec
 
 
@@ -190,8 +219,12 @@ def main(argv=None):
                     help="compare with the committed files instead of writing")
     args = ap.parse_args(argv)
     stale = 0
-    for name, render in FILES.items():
-        text = render()
+    try:
+        texts = {name: render() for name, render in FILES.items()}
+    except BadCountermodel as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    for name, text in texts.items():
         path = DATA / name
         if not args.check:
             path.write_text(text)

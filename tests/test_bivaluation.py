@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import live_rows, row_assignment
+from conftest import ALL_LOGICS, live_rows, row_assignment, subformula_set
 from oracle import oracle_rows
 
 from dacosta.bivaluation import (
@@ -36,6 +36,23 @@ class TestClosure:
     def test_lfi_adds_cons(self):
         got = closure(CILA, {p})
         assert Cons(p) in got or parse("~(p & ~p)") in got
+
+
+    @pytest.mark.parametrize("lg", ALL_LOGICS, ids=[lg.name for lg in ALL_LOGICS])
+    def test_matches_reference(self, lg):
+        rng = random.Random(13)
+        for _ in range(40):
+            seeds = [random_formula(rng, lg, rng.randint(0, 5), ("p", "q", "r"))
+                     for _ in range(rng.randint(1, 3))]
+            companions = set()
+            for g in seeds:
+                companions |= {g, Neg(g), And(g, Neg(g))}
+                companions |= {pow(g, k) for k in range(1, lg.n + 1)}
+                if lg.has_circ:
+                    companions |= {Cons(g), Neg(Cons(g)), Neg(And(g, Neg(g)))}
+            expected = sorted(subformula_set(*companions),
+                              key=lambda f: (f.complexity, f.text))
+            assert closure(lg, seeds) == expected
 
 
 class TestCheckBivaluation:

@@ -12,7 +12,8 @@ from types import SimpleNamespace
 import pytest
 
 import dacosta
-from dacosta import cli
+from dacosta import cli, tableau
+from dacosta.formula import C, parse
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -100,6 +101,14 @@ class TestDecideText:
         assert out == ""
         assert err.strip() == ("dacosta: unknown logic 'C33'; expected C1..C32, "
                                "mbCcl or Cila")
+
+    def test_exponent_past_bound(self, capsys):
+        code, out, err = run_cli(capsys, "decide", "--logic", "C1",
+                                 "--formula", "p^26")
+        assert code == 2
+        assert out == ""
+        assert err == ("dacosta: exponent too large: the power's text would "
+                       "pass 1048576 characters (at position 1)\n")
 
     def test_missing_formula(self, capsys):
         code, _, err = run_cli(capsys, "decide", "--logic", "C1")
@@ -230,6 +239,29 @@ class TestDisagreementGuard:
         code, out, _ = run_cli(capsys, "decide", "--logic", "C1", "--stdin")
         assert code == 4
         assert out.splitlines() == ["disagreement\tp -> p"]
+
+
+def refuse_extension(*args, **kwargs):
+    raise AssertionError("tableau countermodel extracted")
+
+
+class TestTableauCountermodelOnDemand:
+    """The tableau extends an open branch to a countermodel only when its
+    countermodel is read; with both engines the answer takes decide's."""
+
+    def test_both_methods_skip_extraction(self, capsys, monkeypatch):
+        monkeypatch.setattr(tableau, "extend_partial", refuse_extension)
+        ans = cli.answer(cli.RunConfig(C(1), parse("p & q"), method="both"))
+        assert ans.entailed is False and ans.agree is True
+        assert ans.countermodel is ans.table_result.countermodel
+        code, _, _ = run_cli(capsys, "decide", "--logic", "C1",
+                             "--formula", "p & q", "--format", "json")
+        assert code == 1
+
+    def test_tableau_method_extracts(self, monkeypatch):
+        monkeypatch.setattr(tableau, "extend_partial", refuse_extension)
+        with pytest.raises(AssertionError, match="extracted"):
+            cli.answer(cli.RunConfig(C(1), parse("p & q"), method="tableau"))
 
 
 def broken_decide(*args, **kwargs):
@@ -363,6 +395,21 @@ class TestEmitFiles:
         doc = json.loads(path.read_text())
         assert doc["logic"] == "C2"
         assert doc["root"]["formula"] == "p -> p"
+
+    def test_emit_deep_tableau_text(self, capsys, tmp_path):
+        # F(p0 | ... | p1199) unfolds into a chain of 2,399 nodes, deeper
+        # than the interpreter's default recursion limit
+        path = tmp_path / "tree.txt"
+        goal = " | ".join(f"p{i}" for i in range(1200))
+        code, _, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--method", "tableau",
+            "--formula", goal, "--emit-tableau", str(path),
+        )
+        assert (code, err) == (1, "")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2399
+        assert lines[0] == f"F({goal})"
+        assert lines[-1] == "  " * 2398 + "F(p1)  <F(|)>  [open]"
 
     @pytest.mark.parametrize("argv", [
         ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-table"),

@@ -1,14 +1,19 @@
 """Parser, printer, abbreviations and subformula ordering."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ALL_LOGICS, subformula_set
+
+from dacosta import formula
 from dacosta.formula import (
-    And, C, CILA, Cons, Imp, MBCCL, Neg, Or, ParseError, Var,
+    And, C, CILA, Cons, Imp, MAX_SUGAR_TEXT, MBCCL, Neg, Or, ParseError, Var,
     complexity, contradiction_base, is_pow1, ordered_subformulas, parse,
-    parse_logic, pow, pow_decompose, powseq, random_formula, strong_neg,
+    parse_logic, postorder, pow, pow_decompose, powseq, random_formula,
+    strong_neg,
 )
 
 p, q, r = Var("p"), Var("q"), Var("r")
@@ -101,6 +106,36 @@ class TestSugar:
             direct = any(f == pow(g, 1) for g in ordered_subformulas(f))
             assert is_pow1(f) == direct, f.text
 
+    def test_sugar_text_lengths(self):
+        # the parser's bound predicts the text length of f^k without
+        # building f^k; every parenthesization of the base is covered
+        for base in ["p", "~p", "@p", "p & q", "p | q", "p -> q"]:
+            f = parse(base)
+            lengths = formula._pow_text_lengths(f)
+            for k in range(1, 7):
+                assert next(lengths) == len(pow(f, k).text), (base, k)
+
+    def test_exponent_bound(self):
+        # the text of p^k has 2^(k+3) - 7 characters
+        assert len(parse("p^17").text) == 2 ** 20 - 7 <= MAX_SUGAR_TEXT
+        assert len(parse("p^(16)").text) <= MAX_SUGAR_TEXT
+        assert parse("p^003") == pow(p, 3)
+        assert parse("p^" + "0" * 5000 + "2") == pow(p, 2)
+        for text in ["p^18", "p^(17)", "(p^10)^10", "(p & q)^17",
+                     "p^" + "9" * 5000, "p^(" + "9" * 5000 + ")"]:
+            with pytest.raises(ParseError, match="exponent too large"):
+                parse(text)
+
+    def test_exponent_bound_builds_nothing(self, monkeypatch):
+        def refuse(f, k):
+            raise AssertionError(f"built a power of {f.text} for k = {k}")
+
+        monkeypatch.setattr(formula, "pow", refuse)
+        monkeypatch.setattr(formula, "powseq", refuse)
+        for text in ["p^18", "p^(17)", "p^" + "9" * 5000]:
+            with pytest.raises(ParseError, match="exponent too large"):
+                parse(text)
+
     def test_shape_helpers(self):
         assert contradiction_base(And(p, Neg(p))) == p
         assert contradiction_base(And(p, Neg(q))) is None
@@ -186,6 +221,53 @@ class TestOrderedSubformulas:
     def test_deterministic(self):
         f = parse("(p -> q) & (q -> p) | ~p")
         assert ordered_subformulas(f) == ordered_subformulas(f)
+
+
+class TestPostorder:
+    def test_left_first_root_by_root(self):
+        assert postorder(Imp(p, q), r, p) == [p, q, Imp(p, q), r]
+        assert postorder(And(p, Neg(q)), q) == [p, q, Neg(q), And(p, Neg(q))]
+        assert postorder(And(p, p)) == [p, And(p, p)]
+        assert postorder() == []
+
+    def test_deep_chain_without_recursion(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        chain = p
+        for _ in range(5000):
+            chain = Neg(chain)
+        order = postorder(chain)
+        assert len(order) == 5001
+        assert order[0] is p and order[-1] is chain
+        assert all(g.left is f for f, g in zip(order, order[1:]))
+
+    @pytest.mark.parametrize("lg", ALL_LOGICS, ids=[lg.name for lg in ALL_LOGICS])
+    def test_each_once_after_its_arguments(self, lg):
+        rng = random.Random(11)
+        for _ in range(60):
+            roots = [random_formula(rng, lg, rng.randint(0, 9), ("p", "q", "r"))
+                     for _ in range(rng.randint(1, 3))]
+            order = postorder(*roots)
+            assert len(order) == len(set(order))
+            assert set(order) == subformula_set(*roots)
+            position = {f: i for i, f in enumerate(order)}
+            for f in order:
+                for child in (f.left, f.right):
+                    if child is not None:
+                        assert position[child] < position[f]
+
+    @pytest.mark.parametrize("lg", ALL_LOGICS, ids=[lg.name for lg in ALL_LOGICS])
+    def test_ordered_subformulas_match_reference(self, lg):
+        rng = random.Random(12)
+        for _ in range(60):
+            goal = random_formula(rng, lg, rng.randint(0, 9), ("p", "q", "r"))
+            premises = [random_formula(rng, lg, rng.randint(0, 4), ("p", "q"))
+                        for _ in range(rng.randint(0, 2))]
+            expected = sorted(subformula_set(goal, *premises),
+                              key=lambda f: (f.complexity, f.text))
+            assert ordered_subformulas(goal, premises) == expected
 
 
 class TestLogicNames:

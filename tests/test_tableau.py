@@ -528,6 +528,30 @@ class TestProveGolden:
             assert got == {k: row[k] for k in got}, query
 
 
+class TestGoldenReplay:
+    """make_golden.py records a countermodel only once it refutes its query."""
+
+    QUERY = {"logic": "C1", "goal": "p & q", "premises": ["p"]}
+
+    def test_refuting_countermodel_is_recorded(self):
+        mg = load_make_golden()
+        res = decide(*mg._parsed(self.QUERY))
+        assert mg._countermodel(self.QUERY, res.countermodel) == {
+            "p": 0, "q": 2, "p & q": 2}
+
+    @pytest.mark.parametrize("assignment, fault", [
+        ({"p": 0, "q": 0, "p & q": 2}, "breaks check_valuation"),
+        ({"p": 0, "q": 2}, "misses the goal"),
+        ({"p": 2, "q": 2, "p & q": 2}, "leaves a premise undesignated"),
+        ({"p": 0, "q": 0, "p & q": 0}, "designates the goal"),
+    ])
+    def test_other_countermodels_stop_the_run(self, assignment, fault):
+        mg = load_make_golden()
+        valuation = {parse(text): v for text, v in assignment.items()}
+        with pytest.raises(mg.BadCountermodel, match=fault):
+            mg._countermodel(self.QUERY, valuation)
+
+
 class TestTreeAndBulkStats:
     """`prove` counts the same search with and without a recorded tree."""
 
