@@ -3,8 +3,10 @@ LFIs mbCcl and Cila, over restricted non-deterministic matrix semantics.
 
 Two independent engines answer entailment questions: row-branching truth
 tables (`truthtable.decide`, `truthtable.build_table`) and labelled tableaux
-(`tableau.prove`).  They share only the formula representation and the
-connective tables, so their agreement is a meaningful cross-check.
+(`tableau.prove`).  They share the formula representation and `algebra`'s
+tables and row restriction, but no search, so their agreement is a
+meaningful cross-check; `tests/oracle.py` and `check_bivaluation` check the
+semantics apart from `algebra`'s restriction.
 """
 
 from .algebra import (boolean_values, designated, domain_size, inconsistent,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Cons, Imp, Neg, Or,
-                      Var, powseq, random_formula)
+                      Var, postorder, powseq, random_formula)
 
 _UNARY = {NEG: Neg, CONS: Cons}
 _BINARY = {AND: And, OR: Or, IMP: Imp}
@@ -36,27 +36,26 @@ class Schema:
         return f"{self.name}({', '.join(self.metavars)}) = {self.template.text}"
 
 
-def _substitute(f, assignment, schema_name):
-    if f.kind == VAR:
-        repl = assignment.get(f.name)
-        if repl is None:
-            raise DomainError(
-                f"schema {schema_name} needs metavariable '{f.name}'", f)
-        return repl
-    if f.right is None:
-        return _UNARY[f.kind](_substitute(f.left, assignment, schema_name))
-    left = _substitute(f.left, assignment, schema_name)
-    right = _substitute(f.right, assignment, schema_name)
-    return _BINARY[f.kind](left, right)
-
-
 def instantiate(schema, assignment):
     """Substitute formulas for the schema's metavariables.
 
     `assignment` maps metavariable names to formulas and must cover every
-    metavariable occurring in the template (DomainError otherwise).
+    metavariable occurring in the template (DomainError otherwise, naming the
+    leftmost one missing).  The template is mapped in `postorder`, so its
+    depth is not bounded by the recursion limit.
     """
-    return _substitute(schema.template, assignment, schema.name)
+    out = {}
+    for f in postorder(schema.template):
+        if f.kind == VAR:
+            out[f] = assignment.get(f.name)
+            if out[f] is None:
+                raise DomainError(
+                    f"schema {schema.name} needs metavariable '{f.name}'", f)
+        elif f.right is None:
+            out[f] = _UNARY[f.kind](out[f.left])
+        else:
+            out[f] = _BINARY[f.kind](out[f.left], out[f.right])
+    return out[schema.template]
 
 
 def schemata(logic):

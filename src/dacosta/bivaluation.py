@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import algebra
 from .errors import DomainError
 from .formula import (NEG, CONS, AND, OR, IMP, And, Cons, Neg, Logic,
-                      parse, postorder, pow)
+                      canonical_key, parse, postorder, pow)
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def closure(logic, seeds):
         roots += [pow(g, k) for k in range(1, logic.n + 1)]
         if logic.has_circ:
             roots += [Cons(g), Neg(Cons(g)), Neg(And(g, Neg(g)))]
-    return sorted(postorder(*roots), key=lambda f: (f.complexity, f.text))
+    return sorted(postorder(*roots), key=canonical_key)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def bivaluation_to_valuation(logic, b, formulas=None):
 
 def bivaluation_to_json(b):
     return json.dumps({f.text: v for f, v in
-                       sorted(b.items(), key=lambda kv: (kv[0].complexity, kv[0].text))})
+                       sorted(b.items(), key=lambda kv: canonical_key(kv[0]))})
 
 
 def bivaluation_from_json(text, logic=None):

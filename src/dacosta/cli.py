@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 from . import algebra, axioms, tableau, truthtable
 from .errors import DacostaError, ResourceLimitError
-from .formula import parse, parse_logic
+from .formula import canonical_key, parse, parse_logic
 
 EXIT_ENTAILED = 0
 EXIT_NOT_ENTAILED = 1
@@ -155,7 +155,7 @@ def _table_json(table):
 def _countermodel_json(valuation):
     if valuation is None:
         return None
-    pairs = sorted(valuation.items(), key=lambda kv: (kv[0].complexity, kv[0].text))
+    pairs = sorted(valuation.items(), key=lambda kv: canonical_key(kv[0]))
     names = algebra.value_names(valuation.logic)
     return {f.text: names[v] for f, v in pairs}
 
@@ -172,8 +172,11 @@ def _emit_files(config, ans):
             fh.write(text + "\n")
     if config.emit_tableau is not None:
         tree = ans.tableau_result.tableau
-        text = json.dumps(tableau.tableau_to_json(tree), indent=2) \
-            if config.format == "json" else tableau.tableau_to_text(tree)
+        try:
+            text = json.dumps(tableau.tableau_to_json(tree), indent=2) \
+                if config.format == "json" else tableau.tableau_to_text(tree)
+        except RecursionError:
+            raise DacostaError("tableau too deep for a JSON dump; use --format text") from None
         with open(config.emit_tableau, "w") as fh:
             fh.write(text + "\n")
 

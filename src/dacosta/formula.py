@@ -253,6 +253,11 @@ def complexity(f):
 # Subformula ordering
 
 
+def canonical_key(f):
+    """Sort key of the canonical formula order: complexity, then text."""
+    return (f.complexity, f.text)
+
+
 def postorder(*roots):
     """Every distinct subformula of `roots`, each once and after its arguments.
 
@@ -280,14 +285,14 @@ def postorder(*roots):
 
 
 def ordered_subformulas(goal, premises=()):
-    """All distinct subformulas of goal and premises, sorted by (complexity, text).
+    """All distinct subformulas of goal and premises, in `canonical_key` order.
 
     The secondary key is the canonical rendering, so the order is deterministic
     and reproducible across runs; atoms come first, the goal last (when the goal
     is not itself a premise subformula).
     """
     out = postorder(goal, *premises)
-    out.sort(key=lambda g: (g.complexity, g.text))
+    out.sort(key=canonical_key)
     return out
 
 

@@ -9,13 +9,10 @@ multioperations, the set of argument tuples reachable through the branches
 equals the preimage of the label (an invariant the test suite checks
 exhaustively).
 
-A branch closes when it carries two labels on the same formula, or a signed
-formula no restricted valuation can satisfy:
-
-  3-valued logics:  t(x & ~x); additionally t(@x) in Cila
-  C_n, n >= 2:      t^n_0(x) with t^n_k(x & ~x); t^n_k(x), k >= 1, with
-                    T_n(x & ~x); t^n_k(x), k >= 1, with L(x^1) for
-                    L != t^n_{k-1}
+A branch closes when it carries two labels on the same formula, when a
+rule leaves a signed formula no extension, or when the labels on x, x & ~x
+and x^1 are ones `algebra`'s tables allow but its restriction cuts; the
+last are read off per logic by `_closure_cuts`, not written out here.
 
 Provability: the tableau for premises g_1..g_m and goal f starts from
 F(g_1 -> (g_2 -> ... (g_m -> f)...)); the goal is provable iff the completed
@@ -49,8 +46,9 @@ Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
 The rules for x^k, ~(x^k) and x^k & ~(x^k) are computed from `algebra`'s
 tables and restriction: each extension pins the tower's root to one value
-under which the formula takes the label.  mbCcl has none: there ~x can
-designate x^1 freely, so x^1 is not a function of x.
+under which the formula takes the label; x^1 & y^1 (n = 1) maps the & rule's
+labels back to the roots.  mbCcl has none: there ~x can designate x^1
+freely, so x^1 is not a function of x.
 
 Within one proof, the expansion of each signed formula is resolved once:
 formulas are interned, so `prove` keeps a memo keyed by (label, formula)
@@ -66,6 +64,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 
 from . import algebra
 from .errors import ResourceLimitError
@@ -160,23 +159,13 @@ def _cn_rules(n):
     return rules
 
 
-_rule_cache = {}
-
-
-def _rules(logic):
-    key = (logic.family, logic.n)
-    cached = _rule_cache.get(key)
-    if cached is None:
-        if logic.family == "mbCcl":
-            cached = _mbccl_rules()
-        elif logic.family == "Cila":
-            cached = _cila_rules()
-        elif logic.n == 1:
-            cached = _t1_rules()
-        else:
-            cached = _cn_rules(logic.n)
-        _rule_cache[key] = cached
-    return cached
+@lru_cache(maxsize=None)
+def _rule_table(family, n):
+    if family == "mbCcl":
+        return _mbccl_rules()
+    if family == "Cila":
+        return _cila_rules()
+    return _t1_rules() if n == 1 else _cn_rules(n)
 
 
 def expand(logic, sf):
@@ -196,7 +185,7 @@ def _expand_raw(logic, label, f):
     """Extensions as tuples of (formula, label), or None for atoms."""
     if f.kind == VAR:
         return None
-    template = _rules(logic).get((label, f.kind))
+    template = _rule_table(logic.family, logic.n).get((label, f.kind))
     if template is None:
         raise ValueError(f"no rule for label {label} on {f.text} in {logic.name}")
     sides = (f.left, f.right)
@@ -235,14 +224,16 @@ def _derived_raw(logic, label, f):
             return _powseq_extensions(logic, seq[0], seq[1], label)
 
     if n == 1 and f.kind == AND and f.left.pow_height >= 1 and f.right.pow_height >= 1:
-        T, F = 0, 2
-        x = f.left.left.conj_base
-        y = f.right.left.conj_base
-        if label == T:
-            return (((x, 0), (y, 0)), ((x, 0), (y, 2)), ((x, 2), (y, 0)), ((x, 2), (y, 2)))
-        if label == F:
-            return (((x, 1),), ((y, 1),))
-        return ()
+        # x^1 & y^1: the basic & rule with each label of x^1 (y^1) replaced
+        # by the values of x (y) that the pow chain sends there.
+        step = _pow_chain_step(logic.family, n)
+        roots = (f.left.left.conj_base, f.right.left.conj_base)
+        out = []
+        for ext in _rule_table(logic.family, n)[(label, AND)]:
+            choices = [[(roots[side], s) for s, v in enumerate(step) if v == l]
+                       for side, l in ext]
+            out.extend(product(*choices))
+        return tuple(out)
 
     return None
 
@@ -268,10 +259,15 @@ def _powseq_decompose(f):
     return base, len(parts)
 
 
+def _conj_cell(logic, v):
+    """The values the tables alone give x & ~x when x has value v."""
+    tab = algebra.tables(logic)
+    return {c for w in tab["neg"][v] for c in tab["and"][v][w]}
+
+
 def _conj_values(logic, v):
     """The values x & ~x can take when x has value v, under the restriction."""
-    tab = algebra.tables(logic)
-    conj = {c for w in tab["neg"][v] for c in tab["and"][v][w]}
+    conj = _conj_cell(logic, v)
     forced = algebra.forced_conj_cells(logic)[v]
     return conj if forced is None else conj & forced
 
@@ -371,49 +367,43 @@ def expand_derived(logic, sf):
 # Branch closure
 
 
-def _closes(logic, labels, f, lab, partners=None):
-    """Does adding lab(f) to `labels` violate a closure condition (beyond a
-    straight label conflict, which the caller handles)?  `partners` maps a
-    formula x to its (x & ~x, ~(x & ~x)); `prove` passes one dict per proof."""
-    n = logic.n
-    if n == 1:
-        if lab == 1:
-            if f.conj_base is not None:
-                return "t(x & ~x)"
-            if logic.family == "Cila" and f.kind == CONS:
-                return "t(@x)"
-        return None
-    # C_n with n >= 2
-    if f.conj_base is not None and 1 <= lab <= n:
-        base_lab = labels.get(f.conj_base)
-        if base_lab == 1:
-            return "t0(x) with t(x & ~x)"
-    if f.conj_base is not None and lab == 0:
-        base_lab = labels.get(f.conj_base)
-        if base_lab is not None and 2 <= base_lab <= n:
-            return "t_k(x), k>=1, with T(x & ~x)"
-    if f.pow_height >= 1:
-        src_lab = labels.get(f.left.conj_base)
-        if src_lab is not None and 2 <= src_lab <= n and lab != src_lab - 1:
-            return "t_k(x) with wrong label on x^1"
-    if 1 <= lab <= n:
-        if partners is None:
-            partners = {}
+@lru_cache(maxsize=None)
+def _closure_cuts(family, n):
+    """The restriction's cuts from the tables: (conj_cut, pow1_cut,
+    partnered).  Keyed by the label of x, None while x has none, conj_cut
+    gives the labels x & ~x may not take and pow1_cut those x^1 may not
+    take; every conj_cut holds the labels x & ~x takes under no value of x.
+    `partnered` holds the labels of x that cut anything more."""
+    logic = Logic(family, n)
+    values = frozenset(range(n + 2))
+    allowed = {v: _conj_values(logic, v) for v in values}
+    never = values.difference(*allowed.values())
+    conj_cut = {v: frozenset(_conj_cell(logic, v) - allowed[v]) | never for v in values}
+    pow1_cut = {v: frozenset() if w is None else values - {w}
+                for v, w in enumerate(algebra.forced_pow1_values(logic))}
+    conj_cut[None], pow1_cut[None] = never, frozenset()
+    partnered = {v for v in values if conj_cut[v] - never or pow1_cut[v]}
+    return conj_cut, pow1_cut, partnered
+
+
+def _closes(cuts, labels, f, lab, partners):
+    """Does adding lab(f) to `labels` leave no restricted valuation, beyond a
+    straight label conflict (the caller's)?  `cuts` is the logic's
+    `_closure_cuts`; `partners` maps x to (x & ~x, x^1), one dict per proof."""
+    conj_cut, pow1_cut, partnered = cuts
+    if f.conj_base is not None and lab in conj_cut[labels.get(f.conj_base)]:
+        return "restriction on x & ~x"
+    if f.pow_height >= 1 and lab in pow1_cut[labels.get(f.left.conj_base)]:
+        return "restriction on x^1"
+    if lab in partnered:
         pair = partners.get(f)
         if pair is None:
             conj = And(f, Neg(f))
             pair = partners[f] = (conj, Neg(conj))
-        conj, p1 = pair
-        conj_lab = labels.get(conj)
-        if conj_lab is not None:
-            if lab == 1 and 1 <= conj_lab <= n:
-                return "t0(x) with t(x & ~x)"
-            if lab >= 2 and conj_lab == 0:
-                return "t_k(x), k>=1, with T(x & ~x)"
-        if lab >= 2:
-            p1_lab = labels.get(p1)
-            if p1_lab is not None and p1_lab != lab - 1:
-                return "t_k(x) with wrong label on x^1"
+        if labels.get(pair[0]) in conj_cut[lab]:
+            return "restriction on x & ~x"
+        if labels.get(pair[1]) in pow1_cut[lab]:
+            return "restriction on x^1"
     return None
 
 
@@ -559,6 +549,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     finished = []  # Branch records
     expansions = {}  # (label, formula) -> (extensions, derived), per proof
     partners = {}    # formula -> closure partners, see _closes
+    cuts = _closure_cuts(logic.family, logic.n)
     names = algebra.value_names(logic) if build_tree else None
 
     def make_node(lab, f, rule, parent):
@@ -598,7 +589,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             stats["nodes"] += 1
             # Bulk mode records no closed branch, so it needs no formula text.
             return f"label conflict on {f.text}" if build_tree else "label conflict"
-        reason = _closes(logic, state.labels, f, lab, partners)
+        reason = _closes(cuts, state.labels, f, lab, partners)
         state.labels[f] = lab
         state.leaf = make_node(lab, f, rule, state.leaf)
         stats["nodes"] += 1

@@ -39,8 +39,8 @@ from operator import itemgetter
 
 from . import algebra
 from .errors import ExtensionError, ResourceLimitError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, ordered_subformulas,
-                      postorder)
+from .formula import (VAR, NEG, CONS, AND, OR, IMP, canonical_key,
+                      ordered_subformulas, postorder)
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
@@ -75,7 +75,7 @@ class Valuation:
         return {f: v for f, v in self.assignment.items() if f.kind == VAR}
 
     def render(self, only_atoms=False):
-        pairs = sorted(self.assignment.items(), key=lambda kv: (kv[0].complexity, kv[0].text))
+        pairs = sorted(self.assignment.items(), key=lambda kv: canonical_key(kv[0]))
         if only_atoms:
             pairs = [(f, v) for f, v in pairs if f.kind == VAR]
         return ", ".join(f"{f.text}={self._names[v]}" for f, v in pairs)
@@ -581,7 +581,7 @@ def extend_partial(logic, domain_formulas, nu0):
     subformulas are unpinned.
     """
     domain = set(domain_formulas)
-    columns = sorted(domain, key=lambda f: (f.complexity, f.text))
+    columns = sorted(domain, key=canonical_key)
     for f in columns:
         kids = ()
         if f.kind in (NEG, CONS):

@@ -55,7 +55,9 @@ PROVE_ABOUT = (
     "text to value index. trees: per logic, the first 2 random goals and the "
     "first 2 axiom instances (those that fire a derived rule first) whose "
     "completed tableau has at most 300 nodes, rerun with build_tree=True, "
-    "stop_on_open=False; text is their tableau_to_text.")
+    "stop_on_open=False; text is their tableau_to_text. Closure reasons in text "
+    "come from the restriction check derived from algebra (_closure_cuts); "
+    "t(@x) in Cila closes through its rule, as an unsatisfiable signed formula.")
 PROVE_MAX = {"C1": 7, "C2": 6, "C3": 5, "C4": 4, "mbCcl": 7, "Cila": 7}
 AXIOM_MAX = {"C1": 2, "C2": 2, "C3": 1, "C4": 1, "mbCcl": 2, "Cila": 2}
 TREES_PER_PART, TREE_NODES = 2, 300

@@ -120,6 +120,20 @@ class TestInstantiation:
         with pytest.raises(DomainError, match="metavariable"):
             instantiate(s, {"A": P})
 
+    def test_leftmost_missing_metavariable_named(self):
+        s = Schema("T", ("A", "B", "C"), Imp(Or(Var("A"), Var("C")), Var("B")), C(1))
+        with pytest.raises(DomainError, match="'C'"):
+            instantiate(s, {"A": P})
+
+    def test_deep_template(self):
+        from dacosta import Neg
+
+        template, want = Var("A"), Imp(P, Q)
+        for _ in range(5000):
+            template, want = Neg(template), Neg(want)
+        s = Schema("deep", ("A",), template, C(1))
+        assert instantiate(s, {"A": Imp(P, Q)}) is want
+
 
 class TestRandomInstances:
     def test_deterministic_under_seed(self):

@@ -411,6 +411,20 @@ class TestEmitFiles:
         assert lines[0] == f"F({goal})"
         assert lines[-1] == "  " * 2398 + "F(p1)  <F(|)>  [open]"
 
+    def test_emit_deep_tableau_json_is_a_usage_error(self, capsys, tmp_path):
+        # The same chain nests too deeply for the JSON dump: exit 2 with
+        # one line that points to the text dump, not an internal error.
+        path = tmp_path / "tree.json"
+        goal = " | ".join(f"p{i}" for i in range(1200))
+        code, out, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--method", "tableau",
+            "--format", "json", "--formula", goal, "--emit-tableau", str(path),
+        )
+        assert code == 2
+        assert err.startswith("dacosta: ") and err.count("\n") == 1
+        assert "--format text" in err
+        assert "Traceback" not in out + err and "internal error" not in err
+
     @pytest.mark.parametrize("argv", [
         ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-table"),
         ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-tableau"),

@@ -36,6 +36,7 @@ from dacosta.tableau import (
     tableau_to_json,
     tableau_to_text,
     _closes,
+    _closure_cuts,
     _pow_chain_step,
     _prefilter,
 )
@@ -44,6 +45,7 @@ from dacosta.formula import NEG, ordered_subformulas
 from dacosta.truthtable import check_valuation, decide, extend_partial
 
 from conftest import random_corpus
+from oracle import oracle_rows
 
 X, Y = Var("x"), Var("y")
 P, Q = Var("p"), Var("q")
@@ -260,46 +262,92 @@ class TestDerivedRuleCoherence:
                 assert sorted(roots) == sorted(reach), (f.text, label)
 
 
+def closes(lg, labels, f, lab):
+    return _closes(_closure_cuts(lg.family, lg.n), labels, f, lab, {})
+
+
 class TestClosure:
     def test_inconsistent_contradiction_three_valued(self):
         conj = And(X, Neg(X))
-        assert _closes(C(1), {}, conj, 1)
-        assert _closes(MBCCL, {}, conj, 1)
-        assert _closes(CILA, {}, conj, 1)
-        assert not _closes(C(1), {}, conj, 0)
-        assert not _closes(C(2), {}, conj, 1)
+        assert closes(C(1), {}, conj, 1)
+        assert closes(MBCCL, {}, conj, 1)
+        assert closes(CILA, {}, conj, 1)
+        assert not closes(C(1), {}, conj, 0)
+        assert not closes(C(2), {}, conj, 1)
 
     def test_inconsistent_consistency_operator(self):
-        assert _closes(CILA, {}, Cons(X), 1)
-        assert not _closes(MBCCL, {}, Cons(X), 1)
+        assert not closes(MBCCL, {}, Cons(X), 1)
 
     def test_consistent_value_with_inconsistent_contradiction(self):
         conj = And(X, Neg(X))
-        assert _closes(C(2), {X: 1}, conj, 2)
-        assert _closes(C(2), {conj: 2}, X, 1)
-        assert _closes(C(3), {X: 1}, conj, 3)
-        assert not _closes(C(2), {X: 1}, conj, 0)
+        assert closes(C(2), {X: 1}, conj, 2)
+        assert closes(C(2), {conj: 2}, X, 1)
+        assert closes(C(3), {X: 1}, conj, 3)
+        assert not closes(C(2), {X: 1}, conj, 0)
 
     def test_deep_inconsistency_with_true_contradiction(self):
         conj = And(X, Neg(X))
-        assert _closes(C(2), {X: 2}, conj, 0)
-        assert _closes(C(2), {conj: 0}, X, 2)
-        assert not _closes(C(2), {X: 2}, conj, 1)
+        assert closes(C(2), {X: 2}, conj, 0)
+        assert closes(C(2), {conj: 0}, X, 2)
+        assert not closes(C(2), {X: 2}, conj, 1)
 
     def test_power_mark_must_track_depth(self):
         p1 = pow(X, 1)
-        assert _closes(C(2), {X: 2}, p1, 0)
-        assert _closes(C(2), {X: 2}, p1, 3)
-        assert _closes(C(2), {p1: 0}, X, 2)
-        assert not _closes(C(2), {X: 2}, p1, 1)
-        assert _closes(C(3), {X: 3}, p1, 0)
-        assert not _closes(C(3), {X: 3}, p1, 2)
+        assert closes(C(2), {X: 2}, p1, 0)
+        assert closes(C(2), {X: 2}, p1, 3)
+        assert closes(C(2), {p1: 0}, X, 2)
+        assert not closes(C(2), {X: 2}, p1, 1)
+        assert closes(C(3), {X: 3}, p1, 0)
+        assert not closes(C(3), {X: 3}, p1, 2)
 
     def test_label_conflicts_close_during_search(self):
         res = prove(C(1), parse("p -> p"))
         assert res.proved
         assert [b.status for b in res.tableau.branches] == ["closed", "closed"]
         assert all("conflict" in b.reason for b in res.tableau.branches)
+
+
+class TestClosureCoherence:
+    """`_closes` against the brute-force oracle: the (x, x & ~x) and (x, x^1)
+    label pairs that some restricted valuation reaches never close, and on
+    x & ~x it closes exactly where the restriction cuts what the tables
+    alone allow.  A branch whose x & ~x carries a label no valuation gives it
+    has closed already, so the reverse order is checked for the others."""
+
+    @staticmethod
+    def pairs(lg, f):
+        cols = ordered_subformulas(f)
+        i, j = cols.index(X), cols.index(f)
+        return {(row[i], row[j]) for row in oracle_rows(lg, cols)}
+
+    @pytest.mark.parametrize("lg", COHERENCE_LOGICS, ids=lambda l: l.name)
+    def test_reachable_pairs_stay_open(self, lg):
+        conj = And(X, Neg(X))
+        for f in (conj, pow(X, 1)):
+            for v, w in self.pairs(lg, f):
+                assert not closes(lg, {X: v}, f, w), (f.text, v, w)
+                assert not closes(lg, {f: w}, X, v), (f.text, v, w)
+
+    @pytest.mark.parametrize("lg", COHERENCE_LOGICS, ids=lambda l: l.name)
+    def test_cuts_exactly_the_restricted_cell(self, lg):
+        conj = And(X, Neg(X))
+        reach = self.pairs(lg, conj)
+        taken = {w for _, w in reach}
+        for v in range(domain_size(lg)):
+            cell = {w for u in mult_op(lg, "neg", (v,))
+                    for w in mult_op(lg, "and", (v, u))}
+            for w in cell:
+                cut = (v, w) not in reach
+                assert bool(closes(lg, {X: v}, conj, w)) == cut, (v, w)
+                if w in taken:
+                    assert bool(closes(lg, {conj: w}, X, v)) == cut, (v, w)
+
+    @pytest.mark.parametrize("lg", COHERENCE_LOGICS, ids=lambda l: l.name)
+    def test_contradiction_alone(self, lg):
+        conj = And(X, Neg(X))
+        taken = {w for _, w in self.pairs(lg, conj)}
+        for w in range(domain_size(lg)):
+            assert bool(closes(lg, {}, conj, w)) == (w not in taken), w
 
 
 class TestSearch:
