@@ -19,8 +19,8 @@ ASCII connective spellings (Unicode aliases accepted by the parser):
 Precedence, loosest first: ->  |  &  {~, @, ^k}; -> associates right, & and |
 left.  The ^k and ^(k) forms are input sugar only and never appear as AST nodes.
 The text of f^k doubles per level, so the parser refuses (ParseError; exit 2
-on the command line) a ^k or ^(k) whose text would pass MAX_SUGAR_TEXT
-characters, before building it.
+on the command line) a ^k or ^(k), or a ~, @, &, | or -> node, whose text
+would pass MAX_SUGAR_TEXT characters, before building it.
 """
 
 from __future__ import annotations
@@ -329,10 +329,20 @@ def _tokenize(text):
     return tokens
 
 
-# The longest text that one ^k or ^(k) may produce.  The text of f^k at
-# least doubles per level, so without a bound a few characters of input
+# The longest text that one ^k or ^(k), or one connective node, may
+# produce.  The text of f^k at least doubles per level, and a connective
+# copies its arguments' texts, so without a bound a few characters of input
 # could ask for gigabytes.
 MAX_SUGAR_TEXT = 1 << 20
+
+
+def _text_length(kind, left, right=None):
+    """len(text) of the node (kind, left, right) without building it."""
+    if right is None:
+        return 1 + len(left.text) + 2 * _parenthesized(left.kind, kind)
+    return (len(left.text) + 2 * _parenthesized(left.kind, kind)
+            + len(_BIN_SYMBOL[kind])
+            + len(right.text) + 2 * _parenthesized(right.kind, kind, True))
 
 
 def _pow_text_lengths(f):
@@ -386,6 +396,18 @@ class _Parser:
             raise ParseError(f"expected {what}, found {t[1]!r}" if t[1] else f"expected {what}", t[2])
         return t
 
+    def node(self, kind, left, right, pos):
+        """The node (kind, left, right); ParseError at `pos`, the place of
+        its connective, when its text would pass MAX_SUGAR_TEXT characters."""
+        # parentheses and the connective add at most 8 characters, so the
+        # exact length is needed only near the limit
+        size = len(left.text) + (0 if right is None else len(right.text))
+        if (size + 8 > MAX_SUGAR_TEXT
+                and _text_length(kind, left, right) > MAX_SUGAR_TEXT):
+            raise ParseError("formula too long: its text would pass "
+                             f"{MAX_SUGAR_TEXT} characters", pos)
+        return _make(kind, None, left, right)
+
     def parse(self):
         f = self.imp()
         t = self.peek()
@@ -396,35 +418,35 @@ class _Parser:
     def imp(self):
         left = self.disj()
         if self.peek()[0] == "imp":
-            self.next()
-            return Imp(left, self.imp())
+            pos = self.next()[2]
+            return self.node(IMP, left, self.imp(), pos)
         return left
 
     def disj(self):
         f = self.conj()
         while self.peek()[0] == "or":
-            self.next()
-            f = Or(f, self.conj())
+            pos = self.next()[2]
+            f = self.node(OR, f, self.conj(), pos)
         return f
 
     def conj(self):
         f = self.unary()
         while self.peek()[0] == "and":
-            self.next()
-            f = And(f, self.unary())
+            pos = self.next()[2]
+            f = self.node(AND, f, self.unary(), pos)
         return f
 
     def unary(self):
         t = self.peek()
         if t[0] == "neg":
             self.next()
-            return Neg(self.unary())
+            return self.node(NEG, self.unary(), None, t[2])
         if t[0] == "cons":
             self.next()
             if self.logic is not None and not self.logic.has_circ:
                 raise ParseError(
                     f"consistency connective not in signature of {self.logic.name}", t[2])
-            return Cons(self.unary())
+            return self.node(CONS, self.unary(), None, t[2])
         return self.postfix()
 
     def postfix(self):

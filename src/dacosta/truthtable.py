@@ -20,10 +20,15 @@ Two engines share this semantics:
                narrower order).  Formulas whose tables have astronomically
                many rows (iterated-consistency towers) stay feasible because
                only the value combinations of the columns still referenced
-               later are kept.
+               later are kept.  A column read only by the next column is
+               summed out inside that column's step (bucket elimination,
+               Dechter 1999), so it never takes a state slot: the values of
+               a tower level's ~y, which the restriction collapses again at
+               y & ~y, never widen a frontier.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
-the restriction to the multioperation cell.
+the restriction to the multioperation cell; the DP's successor and pair
+tables are filled from it.
 
 Verdicts, live-row counts and countermodel existence are order-independent
 facts about the constraint system, so the two engines agree everywhere; the
@@ -99,7 +104,7 @@ class _CellRule:
     """
 
     __slots__ = ("logic", "arity", "table", "full_domain", "conj_cells",
-                 "pow1_values", "successors")
+                 "pow1_values", "successors", "pairs")
 
     def __init__(self, logic, conn, has_conj, has_pow):
         self.logic = logic
@@ -109,6 +114,7 @@ class _CellRule:
         self.conj_cells = algebra.forced_conj_cells(logic) if has_conj else None
         self.pow1_values = algebra.forced_pow1_values(logic) if has_pow else None
         self.successors = {}
+        self.pairs = {}
 
     def split(self, inputs):
         """(live, pruned) at `inputs`, both in canonical order.
@@ -143,6 +149,16 @@ class _CellRule:
                 self, is_prem, is_goal)
         return table
 
+    def pair_table(self, first, split, positions):
+        """The shared pair table of a plain column of kind `first`, with
+        `split` inputs, read only by this kind of column, itself plain, at
+        `positions` of its inputs."""
+        key = (first, split, positions)
+        table = self.pairs.get(key)
+        if table is None:
+            table = self.pairs[key] = _PairTable(first, split, positions, self)
+        return table
+
 
 class _CellRules(dict):
     """The cell rules of one logic by (connective, conj hook, pow hook)."""
@@ -158,8 +174,8 @@ class _CellRules(dict):
         return rule
 
 
-# One entry per logic used; each grows only by the column kinds, roles and
-# input combinations that queries reach.
+# One entry per logic used; each grows only by the column kinds, roles, pairs
+# and input combinations that queries reach.
 _cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
@@ -368,6 +384,62 @@ class _Successors(dict):
         return entry
 
 
+class _PairTable(dict):
+    """Successor table of a fused pair step, filled on first lookup.
+
+    The pair is a plain column (neither premise nor goal) whose only reader
+    is the next column, itself plain.  The table maps the pair's outside
+    inputs (the first column's inputs, then the reader's inputs at the
+    positions that do not read the first column) to (successors, pruned):
+    the reader's live values as (v, multiplicity) pairs, in order of first
+    appearance over the first column's cell order and then the reader's,
+    and the cell values the restriction forbids in both columns, summed over
+    the first column's live values.  Both are read off the two columns'
+    _Successors tables; equal entries are one interned object.
+    """
+
+    __slots__ = ("first", "second", "split", "positions")
+
+    def __init__(self, first, split, positions, second):
+        super().__init__()
+        self.first = first.successor_table(False, False)
+        self.second = second.successor_table(False, False)
+        self.split = split
+        self.positions = positions
+
+    def middle(self, inputs):
+        """(u, reader's inputs) for each live value u of the first column at
+        the outside `inputs`, in cell order."""
+        split, positions = self.split, self.positions
+        width = len(inputs) - split + len(positions)
+        out = []
+        for u, _, _ in self.first[inputs[:split]][0]:
+            rest = iter(inputs[split:])
+            out.append((u, tuple(u if k in positions else next(rest)
+                                 for k in range(width))))
+        return out
+
+    def __missing__(self, inputs):
+        counts = {}
+        pruned = self.first[inputs[:self.split]][1]
+        for _, reader_inputs in self.middle(inputs):
+            succ, npruned = self.second[reader_inputs]
+            pruned += npruned
+            for v, _, _ in succ:
+                counts[v] = counts.get(v, 0) + 1
+        entry = (tuple(counts.items()), pruned)
+        entry = self[inputs] = _pair_entries.setdefault(entry, entry)
+        return entry
+
+
+# One copy of each distinct pair-table entry: a few dozen values serve
+# thousands of entries.
+_pair_entries = {}
+
+# Kinds of DP step: a plain column, a premise or goal column, a fused pair.
+_PLAIN, _ROLE, _PAIR = range(3)
+
+
 def _getter(slots):
     """Callable returning the tuple of a state's values at `slots`."""
     if len(slots) > 1:
@@ -377,9 +449,10 @@ def _getter(slots):
 
 
 def _successor_keys(step, state, succ):
-    """(v, successor key) for the live cell values `succ` of `state`."""
-    _, _, rest, role, alive = step
-    if not role:
+    """(v, successor key) for the live cell values `succ` of `state` at a
+    plain or role step."""
+    kind, _, _, rest, alive, _ = step
+    if kind == _PLAIN:
         head = rest(state)
         return [(v, head + (v,)) for v, _, _ in succ]
     prem_ok, goal_st = state[0], state[1]
@@ -389,16 +462,23 @@ def _successor_keys(step, state, succ):
 
 
 def _predecessor(step, frontier, target):
-    """The first (state, v) of `frontier`, in frontier and cell order, whose
-    successor key is `target`: the pair that first inserted `target`."""
-    table, inputs, rest, role, _ = step
-    head = target[:-1]
+    """The first state of `frontier`, in frontier order, that leads to
+    `target`, with the values it takes on the way: (state, v) at a plain or
+    role step, (state, u, v) at a pair step, u and v first in cell order."""
+    kind, table, inputs, rest, _, _ = step
+    head, v = target[:-1], target[-1]
     for state in frontier:
-        # a plain step's key is rest(state) + (v,)
-        if role or rest(state) == head:
-            for v, key in _successor_keys(step, state, table[inputs(state)][0]):
+        # a plain or pair step's key is rest(state) + (v,)
+        if kind != _ROLE and rest(state) != head:
+            continue
+        if kind == _PAIR:
+            for u, reader_inputs in table.middle(inputs(state)):
+                if any(w == v for w, _, _ in table.second[reader_inputs][0]):
+                    return state, u, v
+        else:
+            for w, key in _successor_keys(step, state, table[inputs(state)][0]):
                 if key == target:
-                    return state, v
+                    return state, w
     raise AssertionError("target key has no predecessor")
 
 
@@ -413,26 +493,33 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     goal flag, values of the live columns), counted by the number of table
     rows that reach it.
 
-    Each column step reads its successors from a successor table keyed by
-    the values of its input slots (see _Successors), shared by every query
-    with the same logic, column kind and premise/goal role, and filled only
-    at the input combinations reached.  The frontier of every column is
-    kept; a countermodel is read off by walking back from the first
-    violating final state, taking at each column the first (state, value)
-    pair, in frontier order and cell order, that leads to the current key.
+    Each step reads its successors from a table keyed by the values of its
+    input slots, shared by every query with the same logic and column kinds
+    and filled only at the input combinations reached.  A step is one column
+    (see _Successors), or a pair: a plain column whose only reader is the
+    next column, itself plain, is summed out inside one step with that
+    reader and never gets a state slot (see _PairTable).  The frontier
+    entering every step is kept; a countermodel is read off by walking back
+    from the first violating final state, taking at each step the first
+    state in frontier order, and the first values in cell order, that lead
+    to the current key.  Summing a column out keeps the order in which keys
+    first appear, so the walk picks the same values as a column-by-column
+    DP.
 
     stats reports the exact live-row count of the canonical table
     (rows_live), the rows cut by the restriction in this column order
     (rows_discarded), their sum (rows_total, as in build_table), and the
-    states expanded (work).  Raises ResourceLimitError when `work` would
-    exceed `max_work`.
+    states of the frontiers the steps expand (work); a summed-out column
+    adds none.  Raises ResourceLimitError when `work` would exceed
+    `max_work`.
     """
     start = time.perf_counter()
     premises = tuple(premises)
     order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
     ncols = len(order)
-    premise_pos = set(plan.premise_ix)
+    roles = set(plan.premise_ix)
+    roles.add(plan.goal_ix)
 
     # last[i] = last position whose cell reads column i.
     last = list(range(ncols))
@@ -442,25 +529,39 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
                 last[src] = i
 
     # State slots 0 and 1 hold the premise and goal flags; then the columns
-    # assigned before i and still needed at or after i, oldest first.  A
-    # surviving new column is always appended last.  A column that is
-    # neither premise nor goal is consumed by a later parent, so it always
-    # survives its own step.  A step is (successor table, input getter,
-    # getter of the kept slots, premise or goal role, new column survives).
+    # assigned before the step and still needed at or after it, oldest
+    # first.  A surviving new column is always appended last.  A column that
+    # is neither premise nor goal is consumed by a later parent, so it always
+    # survives its own step.  A step is (kind, table, input getter, getter of
+    # the kept slots, new column survives, its first column).
     steps = []
     alive = []
-    for i in range(ncols):
+    i = 0
+    while i < ncols:
         rule, srcs = plan.entries[i]
         slot = {p: 2 + s for s, p in enumerate(alive)}
-        kept = [slot[p] for p in alive if last[p] > i]
-        role = i in premise_pos or i == plan.goal_ix
-        table = rule.successor_table(i in premise_pos, i == plan.goal_ix)
-        rest = _getter(kept) if role else itemgetter(0, 1, *kept)
-        steps.append((table, _getter([slot[s] for s in srcs]), rest, role,
-                      last[i] > i))
-        alive = [p for p in alive if last[p] > i] + ([i] if last[i] > i else [])
+        role = i in roles
+        # the column the step ends at: i, or i + 1 for a pair
+        j = i + 1 if not role and last[i] == i + 1 and i + 1 not in roles else i
+        kept = [slot[p] for p in alive if last[p] > j]
+        if j > i:
+            reader, reader_srcs = plan.entries[j]
+            positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
+            outside = list(srcs) + [s for s in reader_srcs if s != i]
+            steps.append((_PAIR, reader.pair_table(rule, len(srcs), positions),
+                          _getter([slot[s] for s in outside]),
+                          itemgetter(0, 1, *kept), True, i))
+        else:
+            table = rule.successor_table(i in plan.premise_ix,
+                                         i == plan.goal_ix)
+            steps.append((_ROLE if role else _PLAIN, table,
+                          _getter([slot[s] for s in srcs]),
+                          _getter(kept) if role else itemgetter(0, 1, *kept),
+                          last[i] > i, i))
+        alive = [p for p in alive if last[p] > j] + ([j] if last[j] > j else [])
+        i = j + 1
 
-    # frontiers[i] is the frontier entering column i.
+    # frontiers[k] is the frontier entering step k.
     frontiers = []
     frontier = {(1, 0): 1}
     work = 0
@@ -471,18 +572,23 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             raise ResourceLimitError(
                 f"decision DP exceeded {max_work} state expansions")
         frontiers.append(frontier)
-        table, inputs, rest, role, _ = step
+        kind, table, inputs, rest, _, _ = step
         nxt = {}
         get = nxt.get
         for state, count in frontier.items():
             succ, npruned = table[inputs(state)]
             if npruned:
                 pruned_paths += npruned * count
-            if role:
+            if kind == _ROLE:
                 for _, key in _successor_keys(step, state, succ):
                     nxt[key] = get(key, 0) + count
+                continue
+            head = rest(state)
+            if kind == _PAIR:
+                for v, mult in succ:
+                    key = head + (v,)
+                    nxt[key] = get(key, 0) + mult * count
             else:
-                head = rest(state)
                 for v, _, _ in succ:
                     key = head + (v,)
                     nxt[key] = get(key, 0) + count
@@ -497,9 +603,10 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     if not entailed:
         assignment = {}
         target = violating
-        for i in range(ncols - 1, -1, -1):
-            target, assignment[order[i]] = _predecessor(
-                steps[i], frontiers[i], target)
+        for step, frontier in zip(reversed(steps), reversed(frontiers)):
+            target, *values = _predecessor(step, frontier, target)
+            for k in reversed(range(len(values))):
+                assignment[order[step[5] + k]] = values[k]
         countermodel = Valuation(logic, assignment)
 
     elapsed = time.perf_counter() - start

@@ -38,9 +38,12 @@ ATOMS = ("p", "q", "r")
 DECIDE_ABOUT = (
     "decide() results on a seeded random_formula corpus (random.Random(20201120); "
     "50 goals per logic over p, q, r; every third goal with 1-2 premises of 0-3 "
-    "connectives; goal sizes up to C1/mbCcl/Cila 8, C2 7, C3 6, C4 5 connectives), "
-    "recorded from the frontier DP with per-column back-pointers before the "
-    "successor-table rewrite. countermodel maps formula text to value index.")
+    "connectives; goal sizes up to C1/mbCcl/Cila 8, C2 7, C3 6, C4 5 connectives). "
+    "Verdicts, rows and countermodels were recorded from the frontier DP with "
+    "per-column back-pointers before the successor-table rewrite; work counts "
+    "the frontiers of the pair-step DP, where a plain column read only by the "
+    "next column, itself plain, is summed out inside that column's step. "
+    "countermodel maps formula text to value index.")
 DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (
@@ -236,8 +239,30 @@ def main(argv=None):
             print(f"{name} is missing" if old is None else
                   f"{name} differs from the current source's output at "
                   + _first_difference(old, text), file=sys.stderr)
+            if old is not None:
+                print(f"{name} records that differ, by field: "
+                      + _field_differences(old, text), file=sys.stderr)
             stale += 1
     return 1 if stale else 0
+
+
+def _field_differences(old, new):
+    """How many records of two renderings differ in each field, matched by
+    section and position, as in `work: 227, about: 1`."""
+    old, new = json.loads(old), json.loads(new)
+    counts = {}
+    for key in old.keys() | new.keys():
+        if key == "about":
+            if old.get(key) != new.get(key):
+                counts[key] = 1
+            continue
+        for was, now in itertools.zip_longest(old.get(key, []), new.get(key, [])):
+            was, now = was or {}, now or {}
+            for field in was.keys() | now.keys():
+                if was.get(field) != now.get(field):
+                    counts[field] = counts.get(field, 0) + 1
+    return ", ".join(f"{field}: {n}" for field, n in
+                     sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))) or "none"
 
 
 def _first_difference(old, new):

@@ -110,6 +110,15 @@ class TestDecideText:
         assert err == ("dacosta: exponent too large: the power's text would "
                        "pass 1048576 characters (at position 1)\n")
 
+    def test_connective_text_past_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--formula",
+            "a^17 & b^17 & c^17 & d^17 & e^17 & f^17 & g^17 & h^17")
+        assert code == 2
+        assert out == ""
+        assert err == ("dacosta: formula too long: its text would pass "
+                       "1048576 characters (at position 5)\n")
+
     def test_missing_formula(self, capsys):
         code, _, err = run_cli(capsys, "decide", "--logic", "C1")
         assert code == 2

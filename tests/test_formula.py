@@ -136,6 +136,51 @@ class TestSugar:
             with pytest.raises(ParseError, match="exponent too large"):
                 parse(text)
 
+    def test_connective_text_lengths(self):
+        # the parser's bound predicts the text length of every connective
+        # node without building it, parentheses included
+        from conftest import enumerate_formulas
+        small = enumerate_formulas(1, ("p", "q"), with_circ=True)
+        for f in small:
+            for kind, make in ((formula.NEG, Neg), (formula.CONS, Cons)):
+                assert formula._text_length(kind, f) == len(make(f).text)
+            for g in small:
+                for kind, make in ((formula.AND, And), (formula.OR, Or),
+                                   (formula.IMP, Imp)):
+                    assert formula._text_length(kind, f, g) == \
+                        len(make(f, g).text), (kind, f.text, g.text)
+
+    def test_connective_text_bound(self):
+        # each p^17 is within the bound, but not two of them joined; the
+        # text of p^17 has MAX_SUGAR_TEXT - 7 characters
+        big = "a^17 & b^17 & c^17 & d^17 & e^17 & f^17 & g^17 & h^17"
+        with pytest.raises(ParseError, match="formula too long") as info:
+            parse(big)
+        assert info.value.position == 5
+        assert len(parse("~" * 7 + "p^17").text) == MAX_SUGAR_TEXT
+        assert len(parse("@p^17", MBCCL).text) == MAX_SUGAR_TEXT - 6
+        assert len(parse("p^17 & q").text) == MAX_SUGAR_TEXT - 3
+        assert len(parse("q -> p^17").text) == MAX_SUGAR_TEXT - 2
+        assert len(parse("qqq -> p^17").text) == MAX_SUGAR_TEXT
+        for text in ["~" * 8 + "p^17", "@@@@@@@@p^17", "p^17 & qqqqq",
+                     "p^17 | qqqqq", "qqqq -> p^17", "(p^17) -> q | p^17"]:
+            with pytest.raises(ParseError, match="formula too long"):
+                parse(text)
+
+    def test_connective_text_bound_builds_nothing(self, monkeypatch):
+        made = []
+        real_make = formula._make
+
+        def recording_make(kind, name, left, right):
+            f = real_make(kind, name, left, right)
+            made.append(len(f.text))
+            return f
+
+        monkeypatch.setattr(formula, "_make", recording_make)
+        with pytest.raises(ParseError, match="formula too long"):
+            parse("a^17 & b^17 & c^17 & d^17 & e^17 & f^17 & g^17 & h^17")
+        assert made and max(made) <= MAX_SUGAR_TEXT
+
     def test_shape_helpers(self):
         assert contradiction_base(And(p, Neg(p))) == p
         assert contradiction_base(And(p, Neg(q))) is None

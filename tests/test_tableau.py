@@ -600,6 +600,21 @@ class TestGoldenReplay:
             mg._countermodel(self.QUERY, valuation)
 
 
+class TestGoldenCheck:
+    """make_golden.py --check counts, per field, the records that moved."""
+
+    def test_field_differences(self):
+        mg = load_make_golden()
+        old = mg._dump("a", [("queries", [
+            {"goal": "p", "work": 1, "entailed": True},
+            {"goal": "q", "work": 2, "entailed": False}])])
+        new = mg._dump("b", [("queries", [
+            {"goal": "p", "work": 3, "entailed": True},
+            {"goal": "q", "work": 4, "entailed": True}])])
+        assert mg._field_differences(old, new) == "work: 2, about: 1, entailed: 1"
+        assert mg._field_differences(old, old) == "none"
+
+
 class TestTreeAndBulkStats:
     """`prove` counts the same search with and without a recorded tree."""
 

@@ -9,17 +9,17 @@ import sys
 import pytest
 
 from conftest import enumerate_formulas, live_rows, random_corpus, row_assignment
-from oracle import oracle_rows
+from oracle import oracle_rows, reference_decide
 
-from dacosta import truthtable
+from dacosta import axioms, truthtable
 from dacosta.algebra import (
     designated, domain_size, forced_conj_cells, forced_pow1_values, tables,
     value_names,
 )
 from dacosta.errors import ExtensionError, ResourceLimitError
 from dacosta.formula import (
-    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, Neg, parse, parse_logic, pow,
-    powseq, random_formula,
+    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, Neg, Var, parse, parse_logic,
+    pow, powseq, random_formula,
 )
 from dacosta.truthtable import (
     build_table, check_valuation, decide, extend_partial, ordered_subformulas,
@@ -376,9 +376,122 @@ class TestSuccessorTables:
         assert sum(len(neg[a]) for a in range(42)) < 42 ** 2
 
 
+def decide_fields(lg, goal, premises=()):
+    """The fields of decide() that reference_decide reports."""
+    res = decide(lg, goal, premises)
+    fields = {key: res.stats[key] for key in ("rows_live", "rows_discarded", "work")}
+    fields["entailed"] = res.entailed
+    fields["countermodel"] = (None if res.countermodel is None
+                              else res.countermodel.assignment)
+    return fields
+
+
+def tower_instances():
+    """(logic, instance) for bc_n, dc_n and P_n in C2-C5, over the atoms p, q
+    and over one seeded pair of 1-connective substituents."""
+    rng = random.Random(31)
+    out = []
+    for n in range(2, 6):
+        lg = C(n)
+        for name in ("bc", "dc", "P"):
+            schema = axioms.schema_by_name(lg, f"{name}_{n}")
+            for subs in ((Var("p"), Var("q")),
+                         tuple(random_formula(rng, lg, 1, ("p", "q"))
+                               for _ in "AB")):
+                out.append((lg, axioms.instantiate(schema, dict(zip("AB", subs)))))
+    return out
+
+
+class TestPairSteps:
+    """decide sums out a column read only by the next one; the column-by-
+    column DP in oracle.reference_decide gives the figures it must keep."""
+
+    @pytest.mark.parametrize("lg", DP_LOGICS, ids=[lg.name for lg in DP_LOGICS])
+    def test_random_goals_match_reference(self, lg):
+        rng = random.Random(4242)
+        summed_out = 0
+        for i in range(40):
+            goal = random_formula(rng, lg, rng.randint(0, 7), ("p", "q", "r"))
+            premises = tuple(random_formula(rng, lg, rng.randint(0, 3), ("p", "q"))
+                             for _ in range(i % 3))
+            got, want = decide_fields(lg, goal, premises), \
+                reference_decide(lg, goal, premises)
+            assert got["work"] <= want["work"], (goal.text, premises)
+            summed_out += got["work"] < want["work"]
+            got["work"] = want["work"]
+            assert got == want, (goal.text, premises)
+        assert summed_out > 0
+
+    def test_towers_match_reference_with_less_work(self):
+        for lg, f in tower_instances():
+            got, want = decide_fields(lg, f), reference_decide(lg, f)
+            assert got["work"] < want["work"], (lg.name, f.text)
+            got["work"] = want["work"]
+            assert got == want, (lg.name, f.text)
+
+    def test_countermodel_through_pairs(self):
+        # p and q are summed out into ~p and ~q, and ~~q into the
+        # conjunction; the walk back fills those columns too
+        goal = parse("~~p & ~~q -> r")
+        for lg in (C1, C2, MBCCL):
+            got, want = decide_fields(lg, goal), reference_decide(lg, goal)
+            assert not got["entailed"]
+            assert got == dict(want, work=got["work"]) and got["work"] < want["work"]
+            assert check_valuation(lg, got["countermodel"]) == []
+
+    def test_fills_only_reached_entries(self):
+        # ~p is read only by p & ~p, which only ~(p & ~p) reads: one pair
+        # step, whose outside inputs are p, then p twice for the reader
+        lg = C(40)
+        truthtable._cell_rules.cache_clear()
+        decide(lg, parse("~(p & ~p) -> q"))
+        rules = truthtable._cell_rules(lg)
+        filled = {(key, pair_key[0] is rules["neg", False, False]) + pair_key[1:]:
+                  set(table)
+                  for key, rule in rules.items()
+                  for pair_key, table in rule.pairs.items()}
+        assert filled == {(("and", True, False), True, 1, (1,)):
+                          {(a, a, a) for a in range(42)}}
+
+    def test_bounded_and_interned_over_the_golden_corpus(self):
+        golden = json.loads(GOLDEN.read_text())["queries"]
+
+        def run_corpus():
+            for q in golden:
+                lg = parse_logic(q["logic"])
+                decide(lg, parse(q["goal"], lg),
+                       tuple(parse(p, lg) for p in q["premises"]))
+
+        def pair_tables():
+            return {(lg.name, key, pair_key): table
+                    for lg in map(parse_logic, {q["logic"] for q in golden})
+                    for key, rule in truthtable._cell_rules(lg).items()
+                    for pair_key, table in rule.pairs.items()}
+
+        truthtable._cell_rules.cache_clear()
+        run_corpus()
+        first = {key: dict(table) for key, table in pair_tables().items()}
+        run_corpus()
+        assert {key: dict(table) for key, table in pair_tables().items()} == first
+        assert first
+        by_value = {}
+        for (name, key, (_, split, positions)), table in pair_tables().items():
+            reader = truthtable._cell_rules(parse_logic(name))[key]
+            # the first column's inputs and the reader's other inputs
+            width = split - len(positions) + reader.arity + \
+                (reader.conj_cells is not None) + (reader.pow1_values is not None)
+            assert all(len(inputs) == width for inputs in table)
+            assert len(table) <= (parse_logic(name).n + 2) ** width
+            for entry in table.values():
+                assert by_value.setdefault(entry, entry) is entry
+        assert len(by_value) < sum(map(len, first.values()))
+
+
 class TestDecideGolden:
     """decide against results recorded from the DP before its column steps
-    were compiled into successor tables (see the file's "about" field)."""
+    were compiled into successor tables; work was re-recorded when plain
+    columns read only by the next one were summed out (see the file's
+    "about" field)."""
 
     def test_matches_recorded_results(self):
         golden = json.loads(GOLDEN.read_text())["queries"]
