@@ -20,6 +20,7 @@ reports `yes | head -1`; nothing is printed).
 
 Caps come from flags or the environment: DACOSTA_MAX_ROWS (table rows),
 DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
+A negative cap is a usage error; a cap of 0 fails as any exceeded cap does.
 """
 
 from __future__ import annotations
@@ -77,24 +78,32 @@ class RunConfig:
     stats: bool = False
 
 
-def _cap(flag, name, default):
-    """The flag's value, else the environment variable's, else the default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise DacostaError(
-            f"environment variable {name} must be an integer, got {raw!r}") from None
+def _cap(flag, option, name, default):
+    """The flag's value, else the environment variable's, else the default.
+
+    A negative cap is a usage error that names the flag or the variable.
+    """
+    if flag is None:
+        raw = os.environ.get(name)
+        if raw is None:
+            return default
+        option = f"environment variable {name}"
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise DacostaError(f"{option} must be an integer, got {raw!r}") from None
+    if flag < 0:
+        raise DacostaError(f"{option} must be at least 0, got {flag}")
+    return flag
 
 
 def _caps(cfg):
-    return (_cap(cfg.max_rows, "DACOSTA_MAX_ROWS", truthtable.DEFAULT_MAX_ROWS),
-            _cap(cfg.max_nodes, "DACOSTA_MAX_NODES", tableau.DEFAULT_MAX_NODES),
-            _cap(cfg.max_work, "DACOSTA_MAX_WORK", truthtable.DEFAULT_MAX_WORK))
+    return (_cap(cfg.max_rows, "--max-rows", "DACOSTA_MAX_ROWS",
+                 truthtable.DEFAULT_MAX_ROWS),
+            _cap(cfg.max_nodes, "--max-nodes", "DACOSTA_MAX_NODES",
+                 tableau.DEFAULT_MAX_NODES),
+            _cap(cfg.max_work, "--max-work", "DACOSTA_MAX_WORK",
+                 truthtable.DEFAULT_MAX_WORK))
 
 
 @dataclass
@@ -316,6 +325,11 @@ def _cmd_tables(args, out, err):
 
 
 def _cmd_axioms(args, out, err):
+    for option, value in (("--instances", args.instances),
+                          ("--connectives", args.connectives)):
+        if value is not None and value < 0:
+            print(f"axioms: {option} must be at least 0, got {value}", file=err)
+            return EXIT_USAGE
     logic = parse_logic(args.logic)
     if args.instances is None:
         for s in axioms.schemata(logic):

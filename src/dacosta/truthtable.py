@@ -17,14 +17,20 @@ Two engines share this semantics:
   decide       computes the verdict, exact live-row count and a countermodel
                without materializing rows, by dynamic programming over the
                plain postorder of the goal and premises (no search for a
-               narrower order).  Formulas whose tables have astronomically
-               many rows (iterated-consistency towers) stay feasible because
-               only the value combinations of the columns still referenced
-               later are kept.  A column read only by the next column is
-               summed out inside that column's step (bucket elimination,
-               Dechter 1999), so it never takes a state slot: the values of
-               a tower level's ~y, which the restriction collapses again at
-               y & ~y, never widen a frontier.
+               narrower order).  A state is one flag slot (is every premise
+               so far designated, and the goal's status) plus the values of
+               the columns that later steps still read, so formulas whose
+               tables have astronomically many rows (iterated-consistency
+               towers) stay feasible.  Every step has one form: a table maps
+               its input slots to (tail, multiplicity, values) entries, and
+               each tail is appended to the kept slots.  A premise or goal step
+               reads the flag and appends its new value.  A column read only
+               by the next column is summed out inside that column's step
+               (bucket elimination, Dechter 1999), so it never takes a state
+               slot: the values of a tower level's ~y, which the restriction
+               collapses again at y & ~y, never widen a frontier.  The
+               countermodel walk takes each step's entry back to the target
+               and reads off its values, the first in cell order.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; the DP's successor and pair
@@ -141,12 +147,13 @@ class _CellRule:
         pruned = tuple(v for v in cell if v not in allowed)
         return live, pruned
 
-    def successor_table(self, is_prem, is_goal):
-        """The shared successor table of this kind of column in a role."""
-        table = self.successors.get((is_prem, is_goal))
+    def successor_table(self, is_prem, is_goal, survives):
+        """The shared successor table of this kind of column in a role,
+        kept in the state after its step or not."""
+        key = (is_prem, is_goal, survives)
+        table = self.successors.get(key)
         if table is None:
-            table = self.successors[is_prem, is_goal] = _Successors(
-                self, is_prem, is_goal)
+            table = self.successors[key] = _Successors(self, *key)
         return table
 
     def pair_table(self, first, split, positions):
@@ -358,29 +365,61 @@ class DecisionResult:
     stats: dict = field(default_factory=dict)
 
 
+# The flag slot's value: 3 while every premise column so far is designated,
+# else 0, plus the goal's status (0 before its column, 1 designated, 2 not).
+# _FLAG names that slot where decide lays out a state's columns.
+_START, _VIOLATED = 3, 5
+_FLAG = -1
+
+
+def _merged(triples):
+    """The (tail, mult, values) triples with equal tails merged, in order of
+    first appearance: their multiplicities add up, the first values stay."""
+    merged = {}
+    for tail, mult, values in triples:
+        if tail in merged:
+            merged[tail][0] += mult
+        else:
+            merged[tail] = [mult, values]
+    return tuple((tail, mult, values) for tail, (mult, values) in merged.items())
+
+
 class _Successors(dict):
     """Successor table of one column step, filled on first lookup.
 
-    Maps the tuple of the step's input values to (successors, pruned): the
-    live cell values as (v, premise killed, goal flag) triples in canonical
-    order, and how many cell values the restriction forbids.  The goal flag
-    is 1 (designated) or 2 (undesignated) on a goal column, else 0.
+    Maps the step's inputs (the column's inputs, then the flag at a premise
+    or goal column) to (entries, pruned).  Each live cell value v gives the
+    tail (v if the column survives its step, then the new flag at a premise
+    or goal column); entries are the merged (tail, 1, (v,)) triples in cell
+    order, so values is the first (v,) that gives the tail.  pruned counts
+    the cell values the restriction forbids.
     """
 
-    __slots__ = ("rule", "is_prem", "is_goal")
+    __slots__ = ("rule", "is_prem", "is_goal", "survives")
 
-    def __init__(self, rule, is_prem, is_goal):
+    def __init__(self, rule, is_prem, is_goal, survives):
         super().__init__()
         self.rule = rule
         self.is_prem = is_prem
         self.is_goal = is_goal
+        self.survives = survives
 
     def __missing__(self, inputs):
-        live, pruned = self.rule.split(inputs)
+        role = self.is_prem or self.is_goal
+        live, pruned = self.rule.split(inputs[:-1] if role else inputs)
         n = self.rule.logic.n
-        succ = tuple((v, self.is_prem and v > n,
-                      (1 if v <= n else 2) if self.is_goal else 0) for v in live)
-        entry = self[inputs] = (succ, len(pruned))
+        triples = []
+        for v in live:
+            tail = (v,) if self.survives else ()
+            if role:
+                prem_ok, goal = divmod(inputs[-1], 3)
+                if self.is_prem and v > n:
+                    prem_ok = 0
+                if self.is_goal:
+                    goal = 1 if v <= n else 2
+                tail += (3 * prem_ok + goal,)
+            triples.append((tail, 1, (v,)))
+        entry = self[inputs] = (_merged(triples), len(pruned))
         return entry
 
 
@@ -390,44 +429,36 @@ class _PairTable(dict):
     The pair is a plain column (neither premise nor goal) whose only reader
     is the next column, itself plain.  The table maps the pair's outside
     inputs (the first column's inputs, then the reader's inputs at the
-    positions that do not read the first column) to (successors, pruned):
-    the reader's live values as (v, multiplicity) pairs, in order of first
-    appearance over the first column's cell order and then the reader's,
-    and the cell values the restriction forbids in both columns, summed over
-    the first column's live values.  Both are read off the two columns'
-    _Successors tables; equal entries are one interned object.
+    positions that do not read the first column) to (entries, pruned) as in
+    _Successors.  Entries are the reader's merged ((v,), 1, (u, v)) triples
+    over the first column's values u in cell order, then the reader's, and
+    pruned sums the cell values the restriction forbids in both columns.
+    Both are read off the two columns' _Successors tables; equal entries are
+    one interned object.
     """
 
     __slots__ = ("first", "second", "split", "positions")
 
     def __init__(self, first, split, positions, second):
         super().__init__()
-        self.first = first.successor_table(False, False)
-        self.second = second.successor_table(False, False)
+        self.first = first.successor_table(False, False, True)
+        self.second = second.successor_table(False, False, True)
         self.split = split
         self.positions = positions
 
-    def middle(self, inputs):
-        """(u, reader's inputs) for each live value u of the first column at
-        the outside `inputs`, in cell order."""
+    def __missing__(self, inputs):
         split, positions = self.split, self.positions
         width = len(inputs) - split + len(positions)
-        out = []
-        for u, _, _ in self.first[inputs[:split]][0]:
+        firsts, pruned = self.first[inputs[:split]]
+        triples = []
+        for _, first_mult, (u,) in firsts:
             rest = iter(inputs[split:])
-            out.append((u, tuple(u if k in positions else next(rest)
-                                 for k in range(width))))
-        return out
-
-    def __missing__(self, inputs):
-        counts = {}
-        pruned = self.first[inputs[:self.split]][1]
-        for _, reader_inputs in self.middle(inputs):
-            succ, npruned = self.second[reader_inputs]
+            succ, npruned = self.second[tuple(
+                u if k in positions else next(rest) for k in range(width))]
             pruned += npruned
-            for v, _, _ in succ:
-                counts[v] = counts.get(v, 0) + 1
-        entry = (tuple(counts.items()), pruned)
+            triples += [(tail, first_mult * mult, (u, v))
+                        for tail, mult, (v,) in succ]
+        entry = (_merged(triples), pruned)
         entry = self[inputs] = _pair_entries.setdefault(entry, entry)
         return entry
 
@@ -435,9 +466,6 @@ class _PairTable(dict):
 # One copy of each distinct pair-table entry: a few dozen values serve
 # thousands of entries.
 _pair_entries = {}
-
-# Kinds of DP step: a plain column, a premise or goal column, a fused pair.
-_PLAIN, _ROLE, _PAIR = range(3)
 
 
 def _getter(slots):
@@ -448,63 +476,44 @@ def _getter(slots):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
 
 
-def _successor_keys(step, state, succ):
-    """(v, successor key) for the live cell values `succ` of `state` at a
-    plain or role step."""
-    kind, _, _, rest, alive, _ = step
-    if kind == _PLAIN:
-        head = rest(state)
-        return [(v, head + (v,)) for v, _, _ in succ]
-    prem_ok, goal_st = state[0], state[1]
-    vals = rest(state)
-    return [(v, (0 if killed else prem_ok, goal or goal_st) + vals
-             + ((v,) if alive else ())) for v, killed, goal in succ]
-
-
 def _predecessor(step, frontier, target):
-    """The first state of `frontier`, in frontier order, that leads to
-    `target`, with the values it takes on the way: (state, v) at a plain or
-    role step, (state, u, v) at a pair step, u and v first in cell order."""
-    kind, table, inputs, rest, _, _ = step
-    head, v = target[:-1], target[-1]
+    """The first state of `frontier`, in frontier order, that `step` takes
+    to `target`, and the values of the entry it takes there."""
+    table, inputs, rest, _ = step
     for state in frontier:
-        # a plain or pair step's key is rest(state) + (v,)
-        if kind != _ROLE and rest(state) != head:
-            continue
-        if kind == _PAIR:
-            for u, reader_inputs in table.middle(inputs(state)):
-                if any(w == v for w, _, _ in table.second[reader_inputs][0]):
-                    return state, u, v
-        else:
-            for w, key in _successor_keys(step, state, table[inputs(state)][0]):
-                if key == target:
-                    return state, w
+        head = rest(state)
+        if target[:len(head)] == head:
+            for tail, _, values in table[inputs(state)][0]:
+                if tail == target[len(head):]:
+                    return state, values
     raise AssertionError("target key has no predecessor")
 
 
 def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     """Decide whether `premises` entail `goal` in `logic`.
 
-    Exact over the same table semantics as build_table, but runs a frontier
-    dynamic program over the postorder of the goal and premises: after a
-    column's last consumer is processed its value is dropped from the state,
-    so only the reachable value combinations of the currently-live columns
-    are stored.  A state is the flat tuple (premises designated so far,
-    goal flag, values of the live columns), counted by the number of table
-    rows that reach it.
+    Exact over the same table semantics as build_table, by a frontier
+    dynamic program over the postorder of the goal and premises.  A state is
+    a flat tuple, counted by the table rows that reach it.  It starts as
+    (flag,): the flag slot says whether every premise so far is designated,
+    and the goal's status.  The other slots hold the columns assigned so
+    far that later steps still read.
 
-    Each step reads its successors from a table keyed by the values of its
-    input slots, shared by every query with the same logic and column kinds
-    and filled only at the input combinations reached.  A step is one column
-    (see _Successors), or a pair: a plain column whose only reader is the
-    next column, itself plain, is summed out inside one step with that
-    reader and never gets a state slot (see _PairTable).  The frontier
-    entering every step is kept; a countermodel is read off by walking back
-    from the first violating final state, taking at each step the first
-    state in frontier order, and the first values in cell order, that lead
-    to the current key.  Summing a column out keeps the order in which keys
-    first appear, so the walk picks the same values as a column-by-column
-    DP.
+    Every step looks up its input slots in a table shared by every query
+    with the same logic and column kinds, filled only at the inputs reached,
+    and gets (tail, mult, values) entries: the state's kept slots plus each
+    tail make a successor, reached mult times per row.  A step is one column
+    (see _Successors), where a premise or goal column also reads the flag
+    and appends its new value; or a pair (see _PairTable): a plain column
+    whose only reader is the next column, itself plain, is summed out with
+    that reader and never gets a slot.
+
+    The frontier entering every step is kept.  The countermodel is walked
+    back from the final state (_VIOLATED,): at each step it takes the first
+    state in frontier order whose kept slots and one of whose entries' tail
+    make up the target, and that entry's values, the first in cell order
+    that give the tail.  So the walk picks the same values as a
+    column-by-column DP.
 
     stats reports the exact live-row count of the canonical table
     (rows_live), the rows cut by the restriction in this column order
@@ -518,8 +527,7 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
     ncols = len(order)
-    roles = set(plan.premise_ix)
-    roles.add(plan.goal_ix)
+    roles = {plan.goal_ix, *plan.premise_ix}
 
     # last[i] = last position whose cell reads column i.
     last = list(range(ncols))
@@ -528,85 +536,68 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             if last[src] < i:
                 last[src] = i
 
-    # State slots 0 and 1 hold the premise and goal flags; then the columns
-    # assigned before the step and still needed at or after it, oldest
-    # first.  A surviving new column is always appended last.  A column that
-    # is neither premise nor goal is consumed by a later parent, so it always
-    # survives its own step.  A step is (kind, table, input getter, getter of
-    # the kept slots, new column survives, its first column).
+    # alive names the slots of the state entering a step, in the order they
+    # were appended.  A step is (table, input getter, getter of the kept
+    # slots, its first column).  Only a premise or goal column can be read
+    # by no later column, and only its step reads and replaces the flag.
     steps = []
-    alive = []
+    alive = [_FLAG]
     i = 0
     while i < ncols:
         rule, srcs = plan.entries[i]
-        slot = {p: 2 + s for s, p in enumerate(alive)}
+        slot = {p: s for s, p in enumerate(alive)}
         role = i in roles
         # the column the step ends at: i, or i + 1 for a pair
         j = i + 1 if not role and last[i] == i + 1 and i + 1 not in roles else i
-        kept = [slot[p] for p in alive if last[p] > j]
+        kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
         if j > i:
             reader, reader_srcs = plan.entries[j]
             positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
-            outside = list(srcs) + [s for s in reader_srcs if s != i]
-            steps.append((_PAIR, reader.pair_table(rule, len(srcs), positions),
-                          _getter([slot[s] for s in outside]),
-                          itemgetter(0, 1, *kept), True, i))
+            reads = list(srcs) + [s for s in reader_srcs if s != i]
+            table = reader.pair_table(rule, len(srcs), positions)
         else:
+            reads = list(srcs) + ([_FLAG] if role else [])
             table = rule.successor_table(i in plan.premise_ix,
-                                         i == plan.goal_ix)
-            steps.append((_ROLE if role else _PLAIN, table,
-                          _getter([slot[s] for s in srcs]),
-                          _getter(kept) if role else itemgetter(0, 1, *kept),
-                          last[i] > i, i))
-        alive = [p for p in alive if last[p] > j] + ([j] if last[j] > j else [])
+                                         i == plan.goal_ix, last[i] > i)
+        steps.append((table, _getter([slot[p] for p in reads]),
+                      _getter([slot[p] for p in kept]), i))
+        alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
         i = j + 1
 
     # frontiers[k] is the frontier entering step k.
     frontiers = []
-    frontier = {(1, 0): 1}
+    frontier = {(_START,): 1}
     work = 0
     pruned_paths = 0
-    for step in steps:
+    for table, inputs, rest, _ in steps:
         work += len(frontier)
         if work > max_work:
             raise ResourceLimitError(
                 f"decision DP exceeded {max_work} state expansions")
         frontiers.append(frontier)
-        kind, table, inputs, rest, _, _ = step
         nxt = {}
         get = nxt.get
         for state, count in frontier.items():
-            succ, npruned = table[inputs(state)]
+            entries, npruned = table[inputs(state)]
             if npruned:
                 pruned_paths += npruned * count
-            if kind == _ROLE:
-                for _, key in _successor_keys(step, state, succ):
-                    nxt[key] = get(key, 0) + count
-                continue
             head = rest(state)
-            if kind == _PAIR:
-                for v, mult in succ:
-                    key = head + (v,)
-                    nxt[key] = get(key, 0) + mult * count
-            else:
-                for v, _, _ in succ:
-                    key = head + (v,)
-                    nxt[key] = get(key, 0) + count
+            for tail, mult, _ in entries:
+                key = head + tail
+                nxt[key] = get(key, 0) + mult * count
         frontier = nxt
 
+    # the last column is a premise or the goal, so a final state is (flag,)
     rows_live = sum(frontier.values())
-    violating = next(
-        (key for key in frontier if key[0] == 1 and key[1] == 2), None)
-    entailed = violating is None
+    target = (_VIOLATED,)
+    entailed = target not in frontier
 
     countermodel = None
     if not entailed:
         assignment = {}
-        target = violating
         for step, frontier in zip(reversed(steps), reversed(frontiers)):
-            target, *values = _predecessor(step, frontier, target)
-            for k in reversed(range(len(values))):
-                assignment[order[step[5] + k]] = values[k]
+            target, values = _predecessor(step, frontier, target)
+            assignment.update(zip(order[step[3]:], values))
         countermodel = Valuation(logic, assignment)
 
     elapsed = time.perf_counter() - start

@@ -63,9 +63,5 @@ def subformula_set(*roots):
     return out
 
 
-def live_rows(table):
-    return [r for r in table.rows if r.status == "live"]
-
-
 def row_assignment(table, row):
     return {table.columns[i]: row.values[i] for i in range(len(table.columns))}

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import ALL_LOGICS, live_rows, row_assignment, subformula_set
+from conftest import ALL_LOGICS, row_assignment, subformula_set
 from oracle import oracle_rows
 
 from dacosta.bivaluation import (
@@ -119,7 +119,7 @@ class TestProjection:
         # projecting a live row gives exactly the indicator of designation
         for lg in [C1, C2, CILA]:
             table = build_table(lg, parse("(p & ~p) -> (q | ~q)"))
-            for r in live_rows(table):
+            for r in table.live_rows:
                 nu = row_assignment(table, r)
                 b = valuation_to_bivaluation(lg, nu)
                 for f, v in nu.items():
@@ -131,7 +131,7 @@ class TestProjection:
             for _ in range(15):
                 f = random_formula(rng, lg, connectives=6)
                 table = build_table(lg, f)
-                for r in live_rows(table)[:25]:
+                for r in table.live_rows[:25]:
                     b = valuation_to_bivaluation(lg, row_assignment(table, r))
                     assert check_bivaluation(lg, b) == []
 

@@ -220,6 +220,40 @@ class TestResourceCaps:
         assert err.strip() == ("dacosta: environment variable DACOSTA_MAX_WORK "
                                "must be an integer, got 'lots'")
 
+    @pytest.mark.parametrize("flag, variable, value", [
+        ("--max-work", "DACOSTA_MAX_WORK", "-1"),
+        ("--max-nodes", "DACOSTA_MAX_NODES", "-3"),
+        ("--max-rows", "DACOSTA_MAX_ROWS", "-1"),
+    ])
+    def test_negative_cap_is_usage_error(self, capsys, monkeypatch, flag,
+                                         variable, value):
+        query = ("decide", "--logic", "C1", "--formula", "p -> p")
+        code, out, err = run_cli(capsys, *query, flag, value)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"dacosta: {flag} must be at least 0, got {value}"
+        monkeypatch.setenv(variable, value)
+        code, out, err = run_cli(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.strip() == (f"dacosta: environment variable {variable} "
+                               f"must be at least 0, got {value}")
+
+    def test_zero_cap_is_a_cap_failure(self, capsys):
+        code, _, err = run_cli(
+            capsys, "decide", "--logic", "C1", "--formula", "p -> p",
+            "--max-work", "0",
+        )
+        assert code == 3
+        assert "exceeded 0 " in err
+
+    @pytest.mark.parametrize("flag, value, other", [
+        ("--instances", "-2", ()), ("--connectives", "-1", ("--instances", "1")),
+    ])
+    def test_negative_axioms_count_is_usage_error(self, capsys, flag, value, other):
+        code, out, err = run_cli(capsys, "axioms", "--logic", "C1", *other,
+                                 flag, value)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"axioms: {flag} must be at least 0, got {value}"
+
     def test_flag_overrides_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("DACOSTA_MAX_WORK", "1")
         code, out, _ = run_cli(

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import enumerate_formulas, live_rows, random_corpus, row_assignment
+from conftest import enumerate_formulas, random_corpus, row_assignment
 from oracle import oracle_rows, reference_decide
 
 from dacosta import axioms, truthtable
@@ -50,7 +50,7 @@ class TestFlagshipTable:
             "p & ~p & ~(p & ~p)", "p & ~p & ~(p & ~p) -> ~~p",
         ]
         names = value_names(C1)
-        got = [" ".join(names[v] for v in r.values) for r in live_rows(table)]
+        got = [" ".join(names[v] for v in r.values) for r in table.live_rows]
         assert got == PSI_ROWS
 
     def test_discarded_stubs(self):
@@ -62,8 +62,8 @@ class TestFlagshipTable:
     def test_verdict_columns(self):
         table = build_table(C1, PSI)
         phi_col = table.columns.index(parse("(p & ~p) & ~(p & ~p)"))
-        assert all(r.values[phi_col] == 2 for r in live_rows(table))  # all F
-        assert all(r.values[-1] in designated(C1) for r in live_rows(table))
+        assert all(r.values[phi_col] == 2 for r in table.live_rows)  # all F
+        assert all(r.values[-1] in designated(C1) for r in table.live_rows)
         entailed, countermodel = table_verdict(table)
         assert entailed and countermodel is None
         assert decide(C1, PSI).entailed
@@ -73,7 +73,7 @@ class TestBuildTable:
     def test_contradiction_rows_c1(self):
         table = build_table(C1, parse("p & ~p"))
         names = value_names(C1)
-        got = [" ".join(names[v] for v in r.values) for r in live_rows(table)]
+        got = [" ".join(names[v] for v in r.values) for r in table.live_rows]
         assert got == ["T F F", "t T T", "t t T", "F T F"]
 
     def test_forcing_at_n2(self):
@@ -85,7 +85,7 @@ class TestBuildTable:
         i_conj = cols.index(parse("p & ~p"))
         i_pow = cols.index(pow(parse("p"), 1))
         hit = 0
-        for r in live_rows(table):
+        for r in table.live_rows:
             if r.values[i_p] == 2:  # t2_1
                 assert r.values[i_conj] in (1, 2)
                 assert r.values[i_pow] == 1  # t2_0
@@ -98,19 +98,19 @@ class TestBuildTable:
             for _ in range(25):
                 f = random_formula(rng, lg, connectives=rng.randint(1, 4))
                 table = build_table(lg, f)
-                live = {tuple(r.values) for r in live_rows(table)}
+                live = {tuple(r.values) for r in table.live_rows}
                 assert live == oracle_rows(lg, table.columns), (lg.name, f.text)
 
     def test_rows_distinct_and_deterministic(self, logic):
         f = parse("(p -> q) & ~p | q")
         t1, t2 = build_table(logic, f), build_table(logic, f)
-        rows1 = [tuple(r.values) for r in live_rows(t1)]
-        assert rows1 == [tuple(r.values) for r in live_rows(t2)]
+        rows1 = [tuple(r.values) for r in t1.live_rows]
+        assert rows1 == [tuple(r.values) for r in t2.live_rows]
         assert len(set(rows1)) == len(rows1)
 
     def test_atom_table(self, logic):
         table = build_table(logic, parse("p"))
-        assert len(live_rows(table)) == domain_size(logic)
+        assert len(table.live_rows) == domain_size(logic)
 
     def test_premise_columns(self):
         table = build_table(C1, parse("q"), premises=(parse("p"), parse("~p")))
@@ -152,7 +152,7 @@ class TestDecide:
                 cols = table.columns
                 i_p, i_q = cols.index(parse("p")), cols.index(parse("q"))
                 i_imp = cols.index(parse("p -> q"))
-                for r in live_rows(table):
+                for r in table.live_rows:
                     if r.values[i_p] in des and r.values[i_imp] in des:
                         assert r.values[i_q] in des
 
@@ -189,7 +189,7 @@ class TestExtendPartial:
             for _ in range(10):
                 f = random_formula(rng, lg, connectives=6)
                 table = build_table(lg, f)
-                for r in live_rows(table)[:20]:
+                for r in table.live_rows[:20]:
                     nu0 = row_assignment(table, r)
                     nu = extend_partial(lg, set(table.columns), nu0)
                     for g, val in nu0.items():
@@ -216,7 +216,7 @@ class TestExtendPartial:
         for _ in range(k):
             chain = Neg(chain)
         table = build_table(C1, chain)
-        assert len(live_rows(table)) == k + 3
+        assert len(table.live_rows) == k + 3
         columns = ordered_subformulas(chain)
         nu = extend_partial(C1, columns, {chain: 2})
         assert nu.assignment[chain] == 2
@@ -236,7 +236,7 @@ class TestCheckValuation:
     def test_live_rows_pass(self):
         for lg in [C1, C2, CILA]:
             table = build_table(lg, parse("(p & ~p) -> q"))
-            for r in live_rows(table):
+            for r in table.live_rows:
                 assert check_valuation(lg, row_assignment(table, r)) == []
 
     def test_violations_reported(self):
@@ -276,7 +276,7 @@ class TestAgreementSmall:
             for premises in ((), (formulas[(7 * k + 3) % len(formulas)],)):
                 table = build_table(logic, goal, premises)
                 res = decide(logic, goal, premises)
-                assert res.stats["rows_live"] == len(live_rows(table))
+                assert res.stats["rows_live"] == len(table.live_rows)
                 for stats in (table.stats, res.stats):
                     assert stats["rows_total"] == \
                         stats["rows_live"] + stats["rows_discarded"]
@@ -303,34 +303,58 @@ SHAPES = ["p", "~p", "@p", "p & q", "p | q", "p -> q", "p & ~p", "~(p & ~p)"]
 CONN = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
 
 
-def expected_successors(lg, f, inputs, is_prem, is_goal):
-    """(successors, pruned count) of column f at inputs, from algebra alone."""
+def expected_successors(lg, f, inputs, is_prem, is_goal, survives):
+    """(entries, pruned count) of column f at inputs, from algebra alone.
+
+    A premise or goal column's inputs end with the flag: 3 while the
+    premises so far are designated, else 0, plus the goal's status (0 before
+    its column, 1 designated, 2 undesignated)."""
+    role = is_prem or is_goal
+    cell_inputs = inputs[:-1] if role else inputs
     tab = tables(lg)
     if f.kind == VAR:
         cell = tuple(range(lg.n + 2))
     elif f.kind in (NEG, CONS):
-        cell = tab[CONN[f.kind]][inputs[0]]
+        cell = tab[CONN[f.kind]][cell_inputs[0]]
     else:
-        cell = tab[CONN[f.kind]][inputs[0]][inputs[1]]
+        cell = tab[CONN[f.kind]][cell_inputs[0]][cell_inputs[1]]
     allowed = set(cell)
     if f.conj_base is not None:
-        conj = forced_conj_cells(lg)[inputs[2]]
+        conj = forced_conj_cells(lg)[cell_inputs[2]]
         if conj is not None:
             allowed &= conj
     if f.pow_height >= 1:
-        forced = forced_pow1_values(lg)[inputs[-1]]
+        forced = forced_pow1_values(lg)[cell_inputs[-1]]
         if forced is not None:
             allowed &= {forced}
-    succ = tuple((v, is_prem and v > lg.n,
-                  (1 if v <= lg.n else 2) if is_goal else 0)
-                 for v in cell if v in allowed)
-    return succ, len(cell) - len(succ)
+    live = [v for v in cell if v in allowed]
+    tails = []
+    for v in live:
+        tail = (v,) if survives else ()
+        if role:
+            flag = inputs[-1]
+            prem_ok = flag >= 3 and not (is_prem and v not in designated(lg))
+            goal = (1 if v in designated(lg) else 2) if is_goal else flag % 3
+            tail += (3 * prem_ok + goal,)
+        tails.append(tail)
+    entries = tuple((tail, tails.count(tail), (live[tails.index(tail)],))
+                    for tail in dict.fromkeys(tails))
+    return entries, len(cell) - len(live)
+
+
+# (premise, goal, survives) of the successor tables checked: a plain column
+# always survives its step, a premise or goal column may not.
+TABLE_KINDS = [(False, False, True)] + [
+    (is_prem, is_goal, survives) for is_prem, is_goal in ((True, False),
+                                                         (False, True), (True, True))
+    for survives in (True, False)]
 
 
 class TestSuccessorTables:
     @pytest.mark.parametrize("lg", DP_LOGICS, ids=[lg.name for lg in DP_LOGICS])
     def test_entries_match_cells(self, lg):
         hooked = {"conj": 0, "pow": 0}
+        merged = 0
         for text in SHAPES:
             if "@" in text and not lg.has_circ:
                 continue
@@ -349,14 +373,31 @@ class TestSuccessorTables:
                     values[s] = v
                 inputs = tuple(values[s] for s in srcs)
                 live, pruned = plan.candidates(j, values)
-                for is_prem, is_goal in itertools.product((False, True), repeat=2):
-                    succ, npruned = rule.successor_table(is_prem, is_goal)[inputs]
-                    assert (succ, npruned) == expected_successors(
-                        lg, f, inputs, is_prem, is_goal), (text, inputs)
-                    assert tuple(v for v, _, _ in succ) == live
-                    assert npruned == len(pruned)
+                for is_prem, is_goal, survives in TABLE_KINDS:
+                    table = rule.successor_table(is_prem, is_goal, survives)
+                    flags = range(6) if is_prem or is_goal else (None,)
+                    for key in (inputs if flag is None else inputs + (flag,)
+                                for flag in flags):
+                        entries, npruned = table[key]
+                        assert (entries, npruned) == expected_successors(
+                            lg, f, key, is_prem, is_goal, survives), (text, key)
+                        assert npruned == len(pruned)
+                        # every live value is counted once, and values holds
+                        # the first in cell order that gives each tail
+                        assert sum(mult for _, mult, _ in entries) == len(live)
+                        firsts = [v for _, _, (v,) in entries]
+                        assert firsts == [v for v in live if v in firsts]
+                        if survives:
+                            assert [(tail[0], mult) for tail, mult, _ in entries] \
+                                == [(v, 1) for v in live]
+                        else:
+                            # only the new flag is appended, so values that
+                            # agree on it are one entry
+                            assert all(len(tail) == 1 for tail, _, _ in entries)
+                            merged += len(entries) < len(live)
         assert hooked["conj"] == 1
         assert hooked["pow"] == (1 if lg.family == "C" and lg.n >= 2 else 0)
+        assert merged > 0
 
     def test_fills_only_reached_entries(self):
         lg = C(40)
@@ -365,13 +406,14 @@ class TestSuccessorTables:
         assert not res.entailed
         neg = tables(lg)["neg"]
         rules = truthtable._cell_rules(lg)
-        filled = {key: {role: set(table) for role, table in rule.successors.items()}
+        filled = {key: {kind: set(table) for kind, table in rule.successors.items()}
                   for key, rule in rules.items()}
+        # the goal column reads p, ~p and p again, then the start flag
         assert filled == {
-            (None, False, False): {(False, False): {()}},
-            ("neg", False, False): {(False, False): {(a,) for a in range(42)}},
-            ("and", True, False): {(False, True): {
-                (a, b, a) for a in range(42) for b in neg[a]}},
+            (None, False, False): {(False, False, True): {()}},
+            ("neg", False, False): {(False, False, True): {(a,) for a in range(42)}},
+            ("and", True, False): {(False, True, False): {
+                (a, b, a, 3) for a in range(42) for b in neg[a]}},
         }
         assert sum(len(neg[a]) for a in range(42)) < 42 ** 2
 
@@ -430,14 +472,26 @@ class TestPairSteps:
             assert got == want, (lg.name, f.text)
 
     def test_countermodel_through_pairs(self):
-        # p and q are summed out into ~p and ~q, and ~~q into the
-        # conjunction; the walk back fills those columns too
-        goal = parse("~~p & ~~q -> r")
+        # In the first goal p and q are summed out into ~p and ~q, and ~~q
+        # into the conjunction; the walk back fills those columns too.  The
+        # others move the flag slot: the goal column is read by a premise, a
+        # premise column survives its step, and the goal is also a premise.
+        cases = [  # goal, premises, entailed, a column is summed out
+            ("~~p & ~~q -> r", (), False, True),
+            ("p", ("p -> q",), False, False),
+            ("~p & q -> r", ("p",), False, True),
+            ("q", ("q",), True, False),
+        ]
         for lg in (C1, C2, MBCCL):
-            got, want = decide_fields(lg, goal), reference_decide(lg, goal)
-            assert not got["entailed"]
-            assert got == dict(want, work=got["work"]) and got["work"] < want["work"]
-            assert check_valuation(lg, got["countermodel"]) == []
+            for goal, premises, entailed, summed in cases:
+                goal, premises = parse(goal), tuple(map(parse, premises))
+                got = decide_fields(lg, goal, premises)
+                want = reference_decide(lg, goal, premises)
+                assert got["entailed"] is entailed
+                assert got == dict(want, work=got["work"]), (lg.name, goal.text)
+                assert (got["work"] < want["work"]) is summed
+                if not entailed:
+                    assert check_valuation(lg, got["countermodel"]) == []
 
     def test_fills_only_reached_entries(self):
         # ~p is read only by p & ~p, which only ~(p & ~p) reads: one pair
