@@ -21,6 +21,7 @@ reports `yes | head -1`; nothing is printed).
 Caps come from flags or the environment: DACOSTA_MAX_ROWS (table rows),
 DACOSTA_MAX_NODES (tableau nodes), DACOSTA_MAX_WORK (decision-DP states).
 A negative cap is a usage error; a cap of 0 fails as any exceeded cap does.
+`decide` resolves its caps once, before the first query of a --stdin batch.
 """
 
 from __future__ import annotations
@@ -290,6 +291,9 @@ def _cmd_decide(args, out, err):
     # The other fields of RunConfig are the decide flags of the same names.
     base = {f.name: getattr(args, f.name) for f in fields(RunConfig)
             if f.name not in ("logic", "goal", "premises")}
+    # Caps are resolved once per command: a bad one is one usage error before
+    # the batch, and no query reads the environment again.
+    base.update(zip(("max_rows", "max_nodes", "max_work"), _caps(args)))
     if not args.stdin:
         return run(RunConfig(logic, parse(args.formula, logic), premises, **base),
                    out, err)

@@ -18,23 +18,30 @@ Two engines share this semantics:
                without materializing rows, by dynamic programming over the
                plain postorder of the goal and premises (no search for a
                narrower order).  A state is one flag slot (is every premise
-               so far designated, and the goal's status) plus the values of
-               the columns that later steps still read, so formulas whose
+               so far designated, and the goal's status) plus a slot for
+               each column that later steps still read, so formulas whose
                tables have astronomically many rows (iterated-consistency
-               towers) stay feasible.  Every step has one form: a table maps
+               towers) stay feasible.  A column's slot holds the class of
+               its value: the first of the values that no reader of the
+               column can tell apart (interchangeable values, Freuder 1991),
+               and the rows of a class are counted together (lumping, as in
+               Kemeny & Snell 1960).  A C_n conjunction, say, reads an
+               argument only as T, F or some t_k, so n inconsistent values
+               take one slot value.  Every step has one form: a table maps
                its input slots to (tail, multiplicity, values) entries, and
-               each tail is appended to the kept slots.  A premise or goal step
-               reads the flag and appends its new value.  A column read only
-               by the next column is summed out inside that column's step
-               (bucket elimination, Dechter 1999), so it never takes a state
-               slot: the values of a tower level's ~y, which the restriction
-               collapses again at y & ~y, never widen a frontier.  The
-               countermodel walk takes each step's entry back to the target
-               and reads off its values, the first in cell order.
+               each tail is appended to the kept slots.  A premise or goal
+               step reads the flag and appends its new value.  A column read
+               only by the next column is summed out inside that column's
+               step (bucket elimination, Dechter 1999), so it never takes a
+               state slot: the values of a tower level's ~y, which the
+               restriction collapses again at y & ~y, never widen a
+               frontier.  The countermodel walk takes each step's entry back
+               to the target and reads off its values, the first of the
+               class in cell order.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; the DP's successor and pair
-tables are filled from it.
+tables and the value classes are derived from it.
 
 Verdicts, live-row counts and countermodel existence are order-independent
 facts about the constraint system, so the two engines agree everywhere; the
@@ -46,6 +53,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from . import algebra
@@ -110,7 +118,7 @@ class _CellRule:
     """
 
     __slots__ = ("logic", "arity", "table", "full_domain", "conj_cells",
-                 "pow1_values", "successors", "pairs")
+                 "pow1_values", "successors", "pairs", "class_maps")
 
     def __init__(self, logic, conn, has_conj, has_pow):
         self.logic = logic
@@ -121,6 +129,7 @@ class _CellRule:
         self.pow1_values = algebra.forced_pow1_values(logic) if has_pow else None
         self.successors = {}
         self.pairs = {}
+        self.class_maps = None
 
     def split(self, inputs):
         """(live, pruned) at `inputs`, both in canonical order.
@@ -147,23 +156,54 @@ class _CellRule:
         pruned = tuple(v for v in cell if v not in allowed)
         return live, pruned
 
-    def successor_table(self, is_prem, is_goal, survives):
+    def classes(self, position):
+        """The class map of input `position`: each value's first value, in
+        canonical order, that gives the same split as it at every
+        assignment of the other inputs.  No reader of the input at
+        `position` can tell the values of one class apart.  The maps of
+        all positions are found on first use."""
+        if self.class_maps is None:
+            width = self.arity + (self.conj_cells is not None) \
+                + (self.pow1_values is not None)
+            # A later position's signatures take one value per class at the
+            # earlier positions: the other values of a class give the same
+            # splits whatever the other inputs, so they would only repeat a
+            # signature's entries, never tell two signatures apart.
+            domains = [self.full_domain] * width
+            maps = []
+            for k in range(width):
+                others = list(product(*domains[:k], *domains[k + 1:]))
+                first, reps = {}, []
+                for u in self.full_domain:
+                    splits = []
+                    for rest in others:
+                        live, pruned = self.split(rest[:k] + (u,) + rest[k:])
+                        splits.append((live, len(pruned)))
+                    reps.append(first.setdefault(tuple(splits), u))
+                maps.append(tuple(reps))
+                domains[k] = tuple(first.values())
+            self.class_maps = tuple(maps)
+        return self.class_maps[position]
+
+    def successor_table(self, is_prem, is_goal, survives, reps=None):
         """The shared successor table of this kind of column in a role,
-        kept in the state after its step or not."""
-        key = (is_prem, is_goal, survives)
+        kept in the state after its step or not, storing its value's class
+        under the class map `reps` (None keeps every value)."""
+        key = (is_prem, is_goal, survives, reps)
         table = self.successors.get(key)
         if table is None:
             table = self.successors[key] = _Successors(self, *key)
         return table
 
-    def pair_table(self, first, split, positions):
+    def pair_table(self, first, split, positions, reps):
         """The shared pair table of a plain column of kind `first`, with
         `split` inputs, read only by this kind of column, itself plain, at
-        `positions` of its inputs."""
-        key = (first, split, positions)
+        `positions` of its inputs; the reader stores its value's class
+        under `reps`."""
+        key = (first, split, positions, reps)
         table = self.pairs.get(key)
         if table is None:
-            table = self.pairs[key] = _PairTable(first, split, positions, self)
+            table = self.pairs[key] = _PairTable(first, split, positions, self, reps)
         return table
 
 
@@ -389,20 +429,21 @@ class _Successors(dict):
 
     Maps the step's inputs (the column's inputs, then the flag at a premise
     or goal column) to (entries, pruned).  Each live cell value v gives the
-    tail (v if the column survives its step, then the new flag at a premise
-    or goal column); entries are the merged (tail, 1, (v,)) triples in cell
-    order, so values is the first (v,) that gives the tail.  pruned counts
-    the cell values the restriction forbids.
+    tail (reps[v], its class, if the column survives its step, then the new
+    flag at a premise or goal column); entries are the merged (tail, 1,
+    (v,)) triples in cell order, so values is the first (v,) that gives the
+    tail.  pruned counts the cell values the restriction forbids.
     """
 
-    __slots__ = ("rule", "is_prem", "is_goal", "survives")
+    __slots__ = ("rule", "is_prem", "is_goal", "survives", "reps")
 
-    def __init__(self, rule, is_prem, is_goal, survives):
+    def __init__(self, rule, is_prem, is_goal, survives, reps):
         super().__init__()
         self.rule = rule
         self.is_prem = is_prem
         self.is_goal = is_goal
         self.survives = survives
+        self.reps = rule.full_domain if reps is None else reps
 
     def __missing__(self, inputs):
         role = self.is_prem or self.is_goal
@@ -410,7 +451,7 @@ class _Successors(dict):
         n = self.rule.logic.n
         triples = []
         for v in live:
-            tail = (v,) if self.survives else ()
+            tail = (self.reps[v],) if self.survives else ()
             if role:
                 prem_ok, goal = divmod(inputs[-1], 3)
                 if self.is_prem and v > n:
@@ -430,19 +471,20 @@ class _PairTable(dict):
     is the next column, itself plain.  The table maps the pair's outside
     inputs (the first column's inputs, then the reader's inputs at the
     positions that do not read the first column) to (entries, pruned) as in
-    _Successors.  Entries are the reader's merged ((v,), 1, (u, v)) triples
-    over the first column's values u in cell order, then the reader's, and
-    pruned sums the cell values the restriction forbids in both columns.
-    Both are read off the two columns' _Successors tables; equal entries are
-    one interned object.
+    _Successors.  Entries are the reader's merged ((reps[v],), 1, (u, v))
+    triples over the first column's values u in cell order, then the
+    reader's, and pruned sums the cell values the restriction forbids in
+    both columns.  Both are read off the two columns' _Successors tables, the
+    first column's keeping every value; equal entries are one interned
+    object.
     """
 
     __slots__ = ("first", "second", "split", "positions")
 
-    def __init__(self, first, split, positions, second):
+    def __init__(self, first, split, positions, second, reps):
         super().__init__()
         self.first = first.successor_table(False, False, True)
-        self.second = second.successor_table(False, False, True)
+        self.second = second.successor_table(False, False, True, reps)
         self.split = split
         self.positions = positions
 
@@ -466,6 +508,14 @@ class _PairTable(dict):
 # One copy of each distinct pair-table entry: a few dozen values serve
 # thousands of entries.
 _pair_entries = {}
+
+
+@lru_cache(maxsize=None)
+def _meet(a, b):
+    """The class map whose classes are the intersections of the classes of
+    the maps a and b.  Only a few distinct maps exist per logic."""
+    first = {}
+    return tuple(first.setdefault(pair, u) for u, pair in enumerate(zip(a, b)))
 
 
 def _getter(slots):
@@ -497,7 +547,11 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     a flat tuple, counted by the table rows that reach it.  It starts as
     (flag,): the flag slot says whether every premise so far is designated,
     and the goal's status.  The other slots hold the columns assigned so
-    far that later steps still read.
+    far that later steps still read, each as its class: the first value,
+    in canonical order, of the values that every reader of the column, at
+    every position where it reads it, splits alike (_CellRule.classes, met
+    over the readers by _meet).  Replacing a value by its class changes no
+    reader's cell or restriction, so the rows of a class go on together.
 
     Every step looks up its input slots in a table shared by every query
     with the same logic and column kinds, filled only at the inputs reached,
@@ -512,15 +566,16 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     back from the final state (_VIOLATED,): at each step it takes the first
     state in frontier order whose kept slots and one of whose entries' tail
     make up the target, and that entry's values, the first in cell order
-    that give the tail.  So the walk picks the same values as a
-    column-by-column DP.
+    that give the tail, that is the first value of the tail's class.  Each
+    is a cell value at its inputs' class values, so at the values the walk
+    picked for them as well, and the countermodel is a restricted valuation.
 
     stats reports the exact live-row count of the canonical table
     (rows_live), the rows cut by the restriction in this column order
     (rows_discarded), their sum (rows_total, as in build_table), and the
     states of the frontiers the steps expand (work); a summed-out column
-    adds none.  Raises ResourceLimitError when `work` would exceed
-    `max_work`.
+    adds none, and the values of one class make one state.  Raises
+    ResourceLimitError when `work` would exceed `max_work`.
     """
     start = time.perf_counter()
     premises = tuple(premises)
@@ -529,12 +584,16 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     ncols = len(order)
     roles = {plan.goal_ix, *plan.premise_ix}
 
-    # last[i] = last position whose cell reads column i.
+    # last[i] = last position whose cell reads column i; reps[i] = the class
+    # map of column i, the meet of its readers' maps at the positions where
+    # they read it (None when nothing reads it).
     last = list(range(ncols))
-    for i, (_, srcs) in enumerate(plan.entries):
-        for src in srcs:
-            if last[src] < i:
-                last[src] = i
+    reps = [None] * ncols
+    for i, (rule, srcs) in enumerate(plan.entries):
+        for k, src in enumerate(srcs):
+            last[src] = i
+            classes = rule.classes(k)
+            reps[src] = classes if reps[src] is None else _meet(reps[src], classes)
 
     # alive names the slots of the state entering a step, in the order they
     # were appended.  A step is (table, input getter, getter of the kept
@@ -554,11 +613,11 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             reader, reader_srcs = plan.entries[j]
             positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
             reads = list(srcs) + [s for s in reader_srcs if s != i]
-            table = reader.pair_table(rule, len(srcs), positions)
+            table = reader.pair_table(rule, len(srcs), positions, reps[j])
         else:
             reads = list(srcs) + ([_FLAG] if role else [])
             table = rule.successor_table(i in plan.premise_ix,
-                                         i == plan.goal_ix, last[i] > i)
+                                         i == plan.goal_ix, last[i] > i, reps[i])
         steps.append((table, _getter([slot[p] for p in reads]),
                       _getter([slot[p] for p in kept]), i))
         alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])

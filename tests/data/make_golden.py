@@ -42,8 +42,10 @@ DECIDE_ABOUT = (
     "Verdicts, rows and countermodels were recorded from the frontier DP with "
     "per-column back-pointers before the successor-table rewrite; work counts "
     "the frontiers of the pair-step DP, where a plain column read only by the "
-    "next column, itself plain, is summed out inside that column's step. "
-    "countermodel maps formula text to value index.")
+    "next column, itself plain, is summed out inside that column's step, and "
+    "each state slot holds its column's value class (the first of the values "
+    "that no reader of the column can tell apart), merged classes counting "
+    "once. countermodel maps formula text to value index.")
 DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (

@@ -220,6 +220,34 @@ class TestResourceCaps:
         assert err.strip() == ("dacosta: environment variable DACOSTA_MAX_WORK "
                                "must be an integer, got 'lots'")
 
+    def test_bad_cap_is_one_error_before_a_batch(self, capsys, monkeypatch):
+        query = ("decide", "--logic", "C1", "--stdin")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p\nq\n"))
+        code, out, err = run_cli(capsys, *query, "--max-work", "-1")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["dacosta: --max-work must be at least 0, got -1"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p\nq\n"))
+        monkeypatch.setenv("DACOSTA_MAX_NODES", "lots")
+        code, out, err = run_cli(capsys, *query)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["dacosta: environment variable "
+                                    "DACOSTA_MAX_NODES must be an integer, got 'lots'"]
+
+    def test_batch_reads_the_environment_once(self, capsys, monkeypatch):
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(os, "environ", Environ(os.environ, DACOSTA_MAX_WORK="100"))
+        monkeypatch.setattr(sys, "stdin", io.StringIO("p -> p\nq\np | ~p\n"))
+        code, out, _ = run_cli(capsys, "decide", "--logic", "C1", "--stdin")
+        assert code == 1 and len(out.splitlines()) == 3
+        assert sorted(key for key in reads if key.startswith("DACOSTA_")) == [
+            "DACOSTA_MAX_NODES", "DACOSTA_MAX_ROWS", "DACOSTA_MAX_WORK"]
+
     @pytest.mark.parametrize("flag, variable, value", [
         ("--max-work", "DACOSTA_MAX_WORK", "-1"),
         ("--max-nodes", "DACOSTA_MAX_NODES", "-3"),

@@ -408,14 +408,145 @@ class TestSuccessorTables:
         rules = truthtable._cell_rules(lg)
         filled = {key: {kind: set(table) for kind, table in rule.successors.items()}
                   for key, rule in rules.items()}
-        # the goal column reads p, ~p and p again, then the start flag
+        # p's slot holds its class: T, t_0, the other t_k (the conj hook
+        # tells them from t_0) or F; ~p's: T, any t_k or F.  The goal column
+        # reads p, ~p and p again, then the start flag.
+        p_reps = (0, 1) + (2,) * 39 + (41,)
+        neg_reps = (0,) + (1,) * 40 + (41,)
         assert filled == {
-            (None, False, False): {(False, False, True): {()}},
-            ("neg", False, False): {(False, False, True): {(a,) for a in range(42)}},
-            ("and", True, False): {(False, True, False): {
-                (a, b, a, 3) for a in range(42) for b in neg[a]}},
+            (None, False, False): {(False, False, True, p_reps): {()}},
+            ("neg", False, False): {(False, False, True, neg_reps): {
+                (a,) for a in (0, 1, 2, 41)}},
+            ("and", True, False): {(False, True, False, None): {
+                (a, neg_reps[b], a, 3) for a in (0, 1, 2, 41) for b in neg[a]}},
         }
-        assert sum(len(neg[a]) for a in range(42)) < 42 ** 2
+        # six entries, where keeping every value of p and ~p would fill 1,642
+        assert len(filled["and", True, False][False, True, False, None]) == 6 \
+            < sum(len(neg[a]) for a in range(42))
+
+
+CLASS_LOGICS = [C(n) for n in range(1, 7)] + [MBCCL, CILA]
+
+
+def restricted_cell(lg, conn, has_conj, has_pow, inputs):
+    """(live cell, pruned count) of a column kind at inputs, from algebra
+    alone: the cell, then the conj hook's and the pow hook's restriction."""
+    cell = tables(lg)[conn][inputs[0]]
+    if conn not in ("neg", "cons"):
+        cell = cell[inputs[1]]
+    allowed = set(cell)
+    arity = 1 if conn in ("neg", "cons") else 2
+    if has_conj and forced_conj_cells(lg)[inputs[arity]] is not None:
+        allowed &= forced_conj_cells(lg)[inputs[arity]]
+    if has_pow and forced_pow1_values(lg)[inputs[-1]] is not None:
+        allowed &= {forced_pow1_values(lg)[inputs[-1]]}
+    live = tuple(v for v in cell if v in allowed)
+    return live, len(cell) - len(live)
+
+
+def rule_kinds(lg):
+    """Every (connective, conj hook, pow hook) kind of the logic, with its
+    input count."""
+    for conn in tables(lg):
+        arity = 1 if conn in ("neg", "cons") else 2
+        for has_conj, has_pow in itertools.product((False, True), repeat=2):
+            yield (conn, has_conj, has_pow), arity + has_conj + has_pow
+
+
+class TestValueClasses:
+    """Each column's state slot holds the first value of its class under
+    _CellRule.classes; the classes must be exactly the values that no
+    reader can tell apart."""
+
+    @pytest.mark.parametrize("lg", CLASS_LOGICS, ids=[lg.name for lg in CLASS_LOGICS])
+    def test_classes_are_the_coarsest_exact_partition(self, lg):
+        rules = truthtable._cell_rules(lg)
+        domain = range(lg.n + 2)
+        merged = 0
+        for kind, width in rule_kinds(lg):
+            for position in range(width):
+                reps = rules[kind].classes(position)
+                others = list(itertools.product(domain, repeat=width - 1))
+
+                def cells(u):
+                    return [restricted_cell(lg, *kind, rest[:position] + (u,)
+                                            + rest[position:]) for rest in others]
+
+                by_value = [cells(u) for u in domain]
+                for u in domain:
+                    # the first value of u's class, which it shares with u
+                    assert reps[u] <= u and reps[reps[u]] == reps[u]
+                    for w in domain:
+                        same = by_value[u] == by_value[w]
+                        assert (reps[u] == reps[w]) is same, (kind, position, u, w)
+                merged += len(set(reps)) < len(reps)
+        assert merged > 0
+
+    def test_c1_columns_keep_every_value(self):
+        # A C1 connective tells T, t and F apart at each argument.  Only the
+        # conj hook merges T and F, and its base is also the conjunction's
+        # left argument; C1 forces no pow hook.  So every C1 column's map
+        # is the identity.
+        rules = truthtable._cell_rules(C1)
+        for conn, has_conj in itertools.product(tables(C1), (False, True)):
+            rule = rules[conn, has_conj, False]
+            for position in range(rule.arity):
+                assert rule.classes(position) == (0, 1, 2)
+            if has_conj:
+                hook = rule.classes(rule.arity)
+                assert hook == (0, 1, 0)
+                assert truthtable._meet(rule.classes(0), hook) == (0, 1, 2)
+
+    def test_meet_intersects_classes(self):
+        for lg in CLASS_LOGICS:
+            rules = truthtable._cell_rules(lg)
+            maps = {rules[kind].classes(position)
+                    for kind, width in rule_kinds(lg) for position in range(width)}
+            for a, b in itertools.product(maps, repeat=2):
+                meet = truthtable._meet(a, b)
+                for u, w in itertools.product(range(lg.n + 2), repeat=2):
+                    assert (meet[u] == meet[w]) is (a[u] == a[w] and b[u] == b[w])
+                    assert meet[u] <= u and meet[meet[u]] == meet[u]
+
+    def test_caches_do_not_grow_over_the_golden_corpus(self):
+        golden = json.loads(GOLDEN.read_text())["queries"]
+        logics = {q["logic"]: parse_logic(q["logic"]) for q in golden}
+
+        def run_corpus():
+            for q in golden:
+                lg = logics[q["logic"]]
+                decide(lg, parse(q["goal"], lg),
+                       tuple(parse(p, lg) for p in q["premises"]))
+
+        def sizes():
+            return (truthtable._meet.cache_info().currsize,
+                    {(name, key): rule.class_maps
+                     for name, lg in logics.items()
+                     for key, rule in truthtable._cell_rules(lg).items()})
+
+        truthtable._cell_rules.cache_clear()
+        truthtable._meet.cache_clear()
+        run_corpus()
+        first = sizes()
+        run_corpus()
+        assert sizes() == first
+        assert first[0] > 0 and any(first[1].values())
+
+
+class TestHighN:
+    def test_axiom_instances_within_the_default_cap(self):
+        # One instance of each C_n schema over 1-connective substituents.
+        # Keeping every value, C12's P_12 alone took 4.9M states.
+        work = {}
+        for lg in (C(8), C(12)):
+            rng = random.Random(5)
+            work[lg.n] = 0
+            for schema in axioms.schemata(lg):
+                f = axioms.random_instance(schema, rng, connectives=1)
+                res = decide(lg, f)
+                assert res.entailed, (lg.name, f.text)
+                work[lg.n] += res.stats["work"]
+        assert work[12] < 300_000
 
 
 def decide_fields(lg, goal, premises=()):
@@ -489,13 +620,20 @@ class TestPairSteps:
                 want = reference_decide(lg, goal, premises)
                 assert got["entailed"] is entailed
                 assert got == dict(want, work=got["work"]), (lg.name, goal.text)
-                assert (got["work"] < want["work"]) is summed
+                if lg == C1:
+                    # every C1 class map is the identity, so only pairs
+                    # lower the work
+                    assert (got["work"] < want["work"]) is summed
+                else:
+                    assert got["work"] <= want["work"]
                 if not entailed:
                     assert check_valuation(lg, got["countermodel"]) == []
 
     def test_fills_only_reached_entries(self):
         # ~p is read only by p & ~p, which only ~(p & ~p) reads: one pair
-        # step, whose outside inputs are p, then p twice for the reader
+        # step, whose outside inputs are p, then p twice for the reader.
+        # p's readers tell every value apart (the pow hook of ~(p & ~p)
+        # reads the exact t_k); p & ~p's reader only T, any t_k and F.
         lg = C(40)
         truthtable._cell_rules.cache_clear()
         decide(lg, parse("~(p & ~p) -> q"))
@@ -504,7 +642,8 @@ class TestPairSteps:
                   set(table)
                   for key, rule in rules.items()
                   for pair_key, table in rule.pairs.items()}
-        assert filled == {(("and", True, False), True, 1, (1,)):
+        neg_reps = (0,) + (1,) * 40 + (41,)
+        assert filled == {(("and", True, False), True, 1, (1,), neg_reps):
                           {(a, a, a) for a in range(42)}}
 
     def test_bounded_and_interned_over_the_golden_corpus(self):
@@ -529,7 +668,7 @@ class TestPairSteps:
         assert {key: dict(table) for key, table in pair_tables().items()} == first
         assert first
         by_value = {}
-        for (name, key, (_, split, positions)), table in pair_tables().items():
+        for (name, key, (_, split, positions, _)), table in pair_tables().items():
             reader = truthtable._cell_rules(parse_logic(name))[key]
             # the first column's inputs and the reader's other inputs
             width = split - len(positions) + reader.arity + \
@@ -544,8 +683,8 @@ class TestPairSteps:
 class TestDecideGolden:
     """decide against results recorded from the DP before its column steps
     were compiled into successor tables; work was re-recorded when plain
-    columns read only by the next one were summed out (see the file's
-    "about" field)."""
+    columns read only by the next one were summed out, and again when state
+    slots came to hold value classes (see the file's "about" field)."""
 
     def test_matches_recorded_results(self):
         golden = json.loads(GOLDEN.read_text())["queries"]
