@@ -12,6 +12,9 @@ figure, and say so where the change is described.
 Every countermodel is replayed before it is recorded: it must pass
 `check_valuation`, designate every premise and leave the goal undesignated.
 One that does not stops both modes with exit 1, and nothing is written.
+A rewrite also stops with exit 1, writing nothing, when a query recorded
+at the same place would get another `proved` or `entailed`: a change may
+move how an engine gets to its answer, never the answer.
 """
 
 from __future__ import annotations
@@ -50,7 +53,14 @@ DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (
     "prove() results (build_tree=False, stop_on_open=True, default max_nodes), "
-    "recorded with unit-first branching (forced splits before real ones). "
+    "recorded with unit-first branching (forced splits before real ones), "
+    "shared conclusions factored (a real split puts the part that all its "
+    "extensions share on the branch once and queues the rests at the tail), "
+    "early closing (a queued split with no extension left that fits closes "
+    "the branch at the insert that takes the last one) and derived rules used "
+    "only where they have no more extensions than the basic rule; "
+    "derived_rule_hits counts signed formulas put on a branch whose rule is "
+    "derived. "
     "Corpus: random.Random(20110510); per logic, 40 random_formula goals over "
     "p, q, r (sizes up to C1/mbCcl/Cila 7, C2 6, C3 5, C4 4 connectives; every "
     "third goal with 1-2 premises of 0-3 connectives; use_derived on every odd "
@@ -231,12 +241,20 @@ def main(argv=None):
     except BadCountermodel as exc:
         print(exc, file=sys.stderr)
         return 1
+    olds = {name: (DATA / name).read_text() if (DATA / name).exists() else None
+            for name in texts}
+    moved = [(name, query) for name, text in texts.items() if olds[name] is not None
+             for query in _verdict_changes(olds[name], text)]
+    for name, query in moved:
+        print(f"{name}: the verdict of {query} would change", file=sys.stderr)
+    if moved and not args.check:
+        return 1
     for name, text in texts.items():
         path = DATA / name
         if not args.check:
             path.write_text(text)
             continue
-        old = path.read_text() if path.exists() else None
+        old = olds[name]
         if old != text:
             print(f"{name} is missing" if old is None else
                   f"{name} differs from the current source's output at "
@@ -246,6 +264,24 @@ def main(argv=None):
                       + _field_differences(old, text), file=sys.stderr)
             stale += 1
     return 1 if stale else 0
+
+
+VERDICTS = ("proved", "entailed")
+QUERY_KEYS = ("logic", "goal", "premises", "use_derived")
+
+
+def _verdict_changes(old, new):
+    """The queries that both renderings record at the same place, in the
+    same section, with a different verdict."""
+    old, new = json.loads(old), json.loads(new)
+    out = []
+    for key in sorted(old.keys() & new.keys() - {"about"}):
+        for was, now in zip(old[key], new[key]):
+            query = {k: was.get(k) for k in QUERY_KEYS}
+            if query == {k: now.get(k) for k in QUERY_KEYS} and any(
+                    was.get(v) != now.get(v) for v in VERDICTS):
+                out.append({k: v for k, v in query.items() if v is not None})
+    return out
 
 
 def _field_differences(old, new):

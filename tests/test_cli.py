@@ -510,7 +510,7 @@ class TestEmitFiles:
 
 # Goals for the no-traceback matrix: valid, invalid, a syntax error, a
 # connective outside C1's signature, and a goal past both caps of the run.
-ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p", "(p & q) & r -> r & q"]
+ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p", "(p & q) & r -> r & (q & p)"]
 
 
 class TestNoTraceback:
