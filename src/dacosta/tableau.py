@@ -7,12 +7,28 @@ signed formula into branch extensions whose satisfying valuations are exactly
 those of the premise formula: for every rule and every cell of the underlying
 multioperations, the set of argument tuples reachable through the branches
 equals the preimage of the label (an invariant the test suite checks
-exhaustively).
+exhaustively).  `expand` gives the paper's rules, one per label.
 
-A branch closes when it carries two labels on the same formula, when a
-rule leaves a signed formula no extension, or when the labels on x, x & ~x
-and x^1 are ones `algebra`'s tables allow but its restriction cuts; the
-last are read off per logic by `_closure_cuts`, not written out here.
+`prove` searches over label *sets*, as in the signed tableaux of Hähnle
+(*Automated Deduction in Multiple-valued Logics*, OUP 1993) and Avron and
+Konikowska (Logic J. IGPL 13(4), 2005).  A branch holds, per formula, the
+set of values it may still take, as a bitmask over the n + 2 values, and
+putting a signed formula on the branch intersects its set.  In bulk mode
+(`build_tree=False`, as the command line and the benchmark run it) a rule
+on a set S emits boxes (`_set_rule`): products of argument sets, read off
+`algebra.tables`, each of whose tuples has a cell that meets S, and which
+together cover every such tuple.  C_n's T(A & B) is one extension, A and B
+designated, where the per-label rules split 25 ways; T(A -> B) is F(A) |
+D(B).  In tree mode (`--emit-tableau`) every set holds one label and the
+rules are `expand`'s, so the recorded tree is the paper's tableau.  One
+search loop serves both.
+
+A branch closes when a formula's set becomes empty, when a rule leaves a
+signed formula no extension, or when the restriction leaves a member of a
+triple (x, x & ~x, x^1) no label that its labelled partners allow.  The
+restriction's cuts are read off per logic by `_closure_cuts`, not written
+out here: inserting on a triple member narrows the set inserted, and the
+sets of its labelled partners, to the values with a compatible partner.
 
 Provability: the tableau for premises g_1..g_m and goal f starts from
 F(g_1 -> (g_2 -> ... (g_m -> f)...)); the goal is provable iff the completed
@@ -28,50 +44,65 @@ branch closes), or one with a single extension left (applied without a
 clone).  This is unit propagation, as in Davis, Logemann and Loveland (CACM
 5(7), 1962).  Only when no split is forced is the oldest one taken as a
 real split.  If all its extensions share some signed formulas (C_n's F(A ->
-B) puts F(B) in each of its n + 1 extensions), the shared part goes on the
-branch once and the rests go back to the queue's tail as one split, taken
-like any other; else the split clones the branch once per surviving
-extension.  A queued split whose every extension conflicts closes the
-branch at the insert that takes the last one away, not when it is next
+B) puts F(B) in each of its n + 1 per-label extensions), the shared part
+goes on the branch once and the rests go back to the queue's tail as one
+split, taken like any other; else the split clones the branch once per
+surviving extension.  A queued split whose every extension conflicts closes
+the branch at the insert that takes the last one away, not when it is next
 scanned: each queued split watches one extension that still fits, under
-that extension's unlabelled formulas, and looks for another only when one
-of them gets another label.  Derived rules are used only where they have no
+that extension's formulas whose sets do not lie in it yet, and looks for
+another only when one of them narrows.  A step queued for a formula whose
+set has narrowed since is skipped: the narrower set queued its own.  In
+bulk mode, once a branch has nothing queued, a triple member that still
+holds several labels is split into single labels (the least complex first,
+so a tower's base goes before the members above it); only a branch with
+none left counts as open.  Derived rules are used only where they have no
 more extensions than the basic rule for the same signed formula (or none:
 close now), so they never split wider than the rule they replace.
 
-The order is sound and complete because it never changes which valuations
-a saturated branch admits: a branch stands for the conjunction of its
-signed formulas, each rule replaces one of them by the disjunction of its
-extensions, and extensions that conflict with the branch admit no
-valuation.  Factoring keeps the disjunction too: with ext_i = shared +
-rest_i, ext_1 | ... | ext_k = shared & (rest_1 | ... | rest_k).  Any order
-that applies every rule reaches the same set of valuations over the open
-leaves; these orders only reach it through fewer nodes.  The factored form
-of each basic rule is read off its template once per logic
-(`_factored_table`); a derived expansion is factored once per proof, in the
-memo below.
+The search is sound and complete because no step changes which valuations
+a branch admits: a branch stands for the conjunction of its signed
+formulas, f in S for each, and each rule replaces one of them by the
+disjunction of its extensions.  For a box rule that disjunction is exact,
+because every tuple of a box reaches S (so no valuation is added) and the
+boxes cover the preimage of S (so none is lost).  Intersecting sets is
+conjunction; extensions that conflict with the branch, and values that the
+restriction gives no compatible partner, admit no valuation; splitting a
+set into its single labels is a disjunction.  Factoring keeps the
+disjunction too: with ext_i = shared + rest_i, ext_1 | ... | ext_k =
+shared & (rest_1 | ... | rest_k).  A saturated open branch has a
+valuation: its triple members hold single labels that pass the
+restriction, and every other formula's set meets the cell of any values
+its arguments take within their sets, which is the box property, so the
+values can be chosen bottom-up.  The factored form of each per-label rule
+is read off its template once per logic (`_factored_table`), that of each
+set rule on first use of the set; a derived expansion is factored once per
+proof, in the memo below.
 
-An open complete branch yields a countermodel by reading off its labels and
-extending them to a restricted valuation over the subformula domain, which
-`formula.postorder` lists.  `prove` records the branch but does not extend
-it: `ProveResult.countermodel` does that when it is first read, so a caller
-that takes its countermodel elsewhere (the command line with both engines
-takes `decide`'s) never pays for the extension.
+An open complete branch yields a countermodel by extending its labels, each
+formula's set as the values allowed there, to a restricted valuation over
+the subformula domain, which `formula.postorder` lists.  `prove` records
+the branch but does not extend it: `ProveResult.countermodel` does that
+when it is first read, so a caller that takes its countermodel elsewhere
+(the command line with both engines takes `decide`'s) never pays for the
+extension.
 
 Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
 The rules for x^k, ~(x^k) and x^k & ~(x^k) are computed from `algebra`'s
 tables and restriction: each extension pins the tower's root to one value
 under which the formula takes the label; x^1 & y^1 (n = 1) maps the & rule's
-labels back to the roots.  mbCcl has none: there ~x can designate x^1
-freely, so x^1 is not a function of x.
+labels back to the roots.  On a label set the rule is the union of the
+per-label ones, the root's values merged into one set (`_derived_set`).
+mbCcl has none: there ~x can designate x^1 freely, so x^1 is not a function
+of x.
 
 Within one proof, the expansion of each signed formula is resolved once:
-formulas are interned, so `prove` keeps a memo keyed by (label, formula)
-over `expand_derived`'s and `expand`'s raw forms, and another for the
-closure partners x & ~x and ~(x & ~x) of `_closes`.  Both memos live and die
-with the call; the rule tables stay the only source of the extensions.  Rule
-strings ("T(&)", "F2(->) derived") are built only for recorded trees.
+formulas are interned, so `prove` keeps a memo keyed by (label set,
+formula), and a map from each x to its labelled triple partners.  Both live
+and die with the call; the rule tables stay the only source of the
+extensions.  Rule strings ("T(&)", "F2(->) derived") are built only for
+recorded trees.
 """
 
 from __future__ import annotations
@@ -84,8 +115,7 @@ from itertools import product
 
 from . import algebra
 from .errors import ResourceLimitError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, And, Imp, Logic, Neg,
-                      postorder, pow)
+from .formula import VAR, NEG, CONS, AND, OR, IMP, Imp, Logic, postorder, pow
 from .truthtable import extend_partial
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -204,6 +234,103 @@ def _factored_table(family, n):
     """`_factor` of every basic rule template, keyed as `_rule_table`."""
     return {key: _factor(template)
             for key, template in _rule_table(family, n).items()}
+
+
+# --------------------------------------------------------------------------
+# Label sets.  `prove` keeps the labels a formula may still take as a
+# bitmask over the n + 2 values (bit v for value v), and its rules give
+# extensions of (side or formula, label set) pairs.
+
+
+@lru_cache(maxsize=4096)
+def _values(mask):
+    """The values of a label set, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _mask(values):
+    """The label set of some values."""
+    return sum(1 << v for v in values)
+
+
+def _as_sets(pairs):
+    return tuple((x, 1 << label) for x, label in pairs)
+
+
+@lru_cache(maxsize=None)
+def _label_rules(family, n):
+    """The basic rules with one-label sets: (label, kind) -> (extensions,
+    factored), the templates of `_rule_table` and `_factored_table`."""
+    factored = _factored_table(family, n)
+    out = {}
+    for key, template in _rule_table(family, n).items():
+        shared_rests = factored[key]
+        if shared_rests is not None:
+            shared_rests = (_as_sets(shared_rests[0]),
+                            tuple(map(_as_sets, shared_rests[1])))
+        out[key] = (tuple(map(_as_sets, template)), shared_rests)
+    return out
+
+
+_CONN_NAMES = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
+
+
+@lru_cache(maxsize=4096)
+def _set_rule(family, n, kind, mask):
+    """(extensions, factored) of the label set `mask` on connective `kind`,
+    templates of (side, label set) pairs; None when every argument tuple's
+    cell meets the set, so the rule asks nothing.
+
+    Each extension is a box, a product of argument sets, every tuple of which
+    has a cell in `algebra.tables` that meets the set; together the boxes
+    cover every such tuple.  A unary rule's one box is that preimage.  For a
+    binary one, let R_a be the right arguments b whose cell (a, b) meets the
+    set: each distinct non-empty R_a gives the box {a' : R_a' contains R_a}
+    x R_a, boxes inside another are dropped, and a side whose set is the
+    whole domain is left out.  Built on first use per set reached."""
+    table = algebra.tables(Logic(family, n))[_CONN_NAMES[kind]]
+    size = n + 2
+    full = (1 << size) - 1
+
+    def reach(cell):
+        return any(mask >> c & 1 for c in cell)
+
+    if kind in (NEG, CONS):
+        pre = _mask(a for a in range(size) if reach(table[a]))
+        boxes = [(pre,)] if pre else []
+    else:
+        rows = [_mask(b for b in range(size) if reach(table[a][b]))
+                for a in range(size)]
+        boxes = []
+        for row in rows:
+            if row and all(row != right for _, right in boxes):
+                boxes.append((_mask(a for a in range(size) if rows[a] & row == row),
+                              row))
+        boxes = [box for box in boxes if not any(
+            other != box and all(x & y == x for x, y in zip(box, other))
+            for other in boxes)]
+    exts = []
+    for box in boxes:
+        ext = tuple((side, s) for side, s in enumerate(box) if s != full)
+        if not ext:
+            return None
+        exts.append(ext)
+    exts = tuple(exts)
+    return exts, _factor(exts)
+
+
+def _merge_pairs(exts):
+    """Extensions with their pairs on one formula merged into one pair
+    holding the intersection; an extension with an empty intersection is
+    dropped, and a repeated one is kept once."""
+    out = {}
+    for ext in exts:
+        sets = {}
+        for g, s in ext:
+            sets[g] = sets.get(g, s) & s
+        if all(sets.values()):
+            out.setdefault(tuple(sets.items()), None)
+    return tuple(out)
 
 
 def expand(logic, sf):
@@ -406,48 +533,128 @@ def expand_derived(logic, sf):
     return tuple(tuple(SignedFormula(l, f) for f, l in ext) for ext in exts)
 
 
+def _derived_set(logic, mask, f):
+    """The derived rule for a label set: the union of `_derived_raw`'s
+    extensions over its labels, with the one-pair extensions on one formula
+    merged into one pair holding their labels.  None when some label has no
+    derived rule, or when a merged pair allows every value (it then asks
+    nothing); () when no label has an extension (close now)."""
+    exts = {}
+    for label in _values(mask):
+        raw = _derived_raw(logic, label, f)
+        if raw is None:
+            return None
+        for ext in raw:
+            exts.setdefault(_as_sets(ext), None)
+    out = []
+    single = {}  # formula -> index in out of its one-pair extension
+    for ext in exts:
+        if len(ext) == 1:
+            g, s = ext[0]
+            i = single.get(g)
+            if i is not None:
+                out[i] = ((g, out[i][0][1] | s),)
+                continue
+            single[g] = len(out)
+        out.append(ext)
+    full = (1 << (logic.n + 2)) - 1
+    if any(out[i][0][1] == full for i in single.values()):
+        return None
+    return _merge_pairs(out)
+
+
 # --------------------------------------------------------------------------
 # Branch closure
 
 
 @lru_cache(maxsize=None)
 def _closure_cuts(family, n):
-    """The restriction's cuts from the tables: (conj_cut, pow1_cut,
-    partnered).  Keyed by the label of x, None while x has none, conj_cut
-    gives the labels x & ~x may not take and pow1_cut those x^1 may not
-    take; every conj_cut holds the labels x & ~x takes under no value of x.
-    `partnered` holds the labels of x that cut anything more."""
+    """The restriction's cuts from the tables, as label sets: (conj_cut,
+    pow1_cut).  Keyed by the value of x, or None while x has no label,
+    conj_cut gives the labels x & ~x may not take and pow1_cut those x^1 may
+    not take; every conj_cut holds the labels x & ~x takes under no value of
+    x."""
     logic = Logic(family, n)
-    values = frozenset(range(n + 2))
+    values = range(n + 2)
     allowed = {v: _conj_values(logic, v) for v in values}
-    never = values.difference(*allowed.values())
-    conj_cut = {v: frozenset(_conj_cell(logic, v) - allowed[v]) | never for v in values}
-    pow1_cut = {v: frozenset() if w is None else values - {w}
+    never = set(values).difference(*allowed.values())
+    full = (1 << (n + 2)) - 1
+    conj_cut = {v: _mask(_conj_cell(logic, v) - allowed[v] | never)
+                for v in values}
+    pow1_cut = {v: 0 if w is None else full & ~(1 << w)
                 for v, w in enumerate(algebra.forced_pow1_values(logic))}
-    conj_cut[None], pow1_cut[None] = never, frozenset()
-    partnered = {v for v in values if conj_cut[v] - never or pow1_cut[v]}
-    return conj_cut, pow1_cut, partnered
+    conj_cut[None], pow1_cut[None] = _mask(never), 0
+    return conj_cut, pow1_cut
 
 
-def _closes(cuts, labels, f, lab, partners):
-    """Does adding lab(f) to `labels` leave no restricted valuation, beyond a
-    straight label conflict (the caller's)?  `cuts` is the logic's
-    `_closure_cuts`; `partners` maps x to (x & ~x, x^1), one dict per proof."""
-    conj_cut, pow1_cut, partnered = cuts
-    if f.conj_base is not None and lab in conj_cut[labels.get(f.conj_base)]:
-        return "restriction on x & ~x"
-    if f.pow_height >= 1 and lab in pow1_cut[labels.get(f.left.conj_base)]:
-        return "restriction on x^1"
-    if lab in partnered:
-        pair = partners.get(f)
-        if pair is None:
-            conj = And(f, Neg(f))
-            pair = partners[f] = (conj, Neg(conj))
-        if labels.get(pair[0]) in conj_cut[lab]:
-            return "restriction on x & ~x"
-        if labels.get(pair[1]) in pow1_cut[lab]:
-            return "restriction on x^1"
-    return None
+_CUT_REASONS = ("restriction on x & ~x", "restriction on x^1")
+
+
+@lru_cache(maxsize=4096)
+def _partner_sets(family, n, s):
+    """(labels of x & ~x, labels of x^1) that the restriction allows beside
+    some value of x in the label set s, None while x has no label."""
+    full = (1 << (n + 2)) - 1
+    allowed = []
+    for cut in _closure_cuts(family, n):
+        common = full
+        for v in (None,) if s is None else _values(s):
+            common &= cut[v]
+        allowed.append(full & ~common)
+    return tuple(allowed)
+
+
+@lru_cache(maxsize=4096)
+def _base_set(family, n, partner, s):
+    """The values of x that the restriction allows beside some label in s on
+    its partner x & ~x (partner 0) or x^1 (partner 1)."""
+    cut = _closure_cuts(family, n)[partner]
+    return _mask(v for v in range(n + 2) if s & ~cut[v])
+
+
+def _restrict(family, n, labels, partners, f, s):
+    """The label set s of f narrowed to the values that a labelled member of
+    one of f's triples (x, x & ~x, x^1) allows beside it, and the name of
+    the cut that empties it, if one does.  `labels` maps formulas to label
+    sets; `partners` maps x to [x & ~x, x^1], each None until labelled."""
+    if f.conj_base is not None:
+        s &= _partner_sets(family, n, labels.get(f.conj_base))[0]
+        if not s:
+            return 0, _CUT_REASONS[0]
+    if f.pow_height >= 1:
+        s &= _partner_sets(family, n, labels.get(f.left.conj_base))[1]
+        if not s:
+            return 0, _CUT_REASONS[1]
+    for partner, g in enumerate(partners.get(f, ())):
+        t = labels.get(g)
+        if t is not None:
+            s &= _base_set(family, n, partner, t)
+            if not s:
+                return 0, _CUT_REASONS[partner]
+    return s, None
+
+
+def _partner_narrowings(family, n, labels, partners, f, s):
+    """(label set, member) for each labelled member of f's triples: the
+    labels that f's label set s allows beside it."""
+    out = []
+    x = f.conj_base
+    if x is not None and x in labels:
+        out.append((_base_set(family, n, 0, s), x))
+    if f.pow_height >= 1 and f.left.conj_base in labels:
+        out.append((_base_set(family, n, 1, s), f.left.conj_base))
+    for g, allowed in zip(partners.get(f, ()), _partner_sets(family, n, s)):
+        if g in labels:
+            out.append((allowed, g))
+    return out
+
+
+def _note_partner(partners, f):
+    """File f under its x in `partners` when f is x & ~x or x^1."""
+    if f.conj_base is not None:
+        partners.setdefault(f.conj_base, [None, None])[0] = f
+    if f.pow_height >= 1:
+        partners.setdefault(f.left.conj_base, [None, None])[1] = f
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +672,8 @@ class Node:
 
 @dataclass
 class Branch:
-    signed: list          # [(label, formula)] in insertion order
+    signed: list          # [(label, formula)] in insertion order; the label
+                          # is an int, or in bulk mode a sorted tuple of values
     status: str           # "open" | "closed"
     reason: str = ""
 
@@ -504,12 +712,12 @@ class _BranchState:
     __slots__ = ("labels", "simple", "branching", "watch", "leaf")
 
     def __init__(self, labels, simple, branching, watch, leaf):
-        self.labels = labels  # insertion-ordered; a formula enters once
+        self.labels = labels  # formula -> label set, insertion-ordered
         self.simple = simple
         self.branching = branching
-        # Unlabelled formula -> ((split, label), ...): the queued splits whose
-        # watched extension gives it that label (see _watch).  Tuples, so
-        # clones share them; a formula's entry goes when it gets a label.
+        # Formula -> ((split, label set), ...): the queued splits whose
+        # watched extension narrows it to that set (see _watch).  Tuples, so
+        # clones share them; a formula's entry goes when it narrows.
         self.watch = watch
         self.leaf = leaf
 
@@ -518,36 +726,34 @@ class _BranchState:
                             deque(self.branching), dict(self.watch), self.leaf)
 
 
-def _signed(state):
-    """The branch's (label, formula) pairs in insertion order."""
-    return [(lab, f) for f, lab in state.labels.items()]
-
-
 def _prefilter(labels, exts):
-    """Sort a rule's extensions against a branch's labels.
+    """Sort a rule's extensions against a branch's label sets.
 
     Returns (satisfied, survivors, conflicted).  `satisfied` is True when the
-    branch already carries some extension whole: any valuation satisfying the
-    branch then satisfies the rule, so no split is needed (the other two are
-    partial then).  `conflicted` pairs each extension that gives some formula
-    a second label with that (formula, label); those close on the spot.  The
-    rest, `survivors`, are the real choices, in rule order.
+    branch already holds some extension whole (each of its formulas' sets
+    lies in the extension's): any valuation satisfying the branch then
+    satisfies the rule, so no split is needed (the other two are partial
+    then).  `conflicted` pairs each extension that some formula's set misses
+    with that (formula, label set); those close on the spot.  The rest,
+    `survivors`, are the real choices, in rule order.
     """
     survivors = []
     conflicted = []
     for ext in exts:
-        all_dup = True
+        held = True
         conflict = None
-        for g, gl in ext:
+        for g, want in ext:
             have = labels.get(g)
             if have is None:
-                all_dup = False
-            elif have != gl:
-                conflict = (g, gl)
+                held = False
+            elif not have & want:
+                conflict = (g, want)
                 break
+            elif have & ~want:
+                held = False
         if conflict is not None:
             conflicted.append((ext, conflict))
-        elif all_dup:
+        elif held:
             return True, survivors, conflicted
         else:
             survivors.append(ext)
@@ -557,20 +763,21 @@ def _prefilter(labels, exts):
 def _watch(labels, watch, entry):
     """Watch one extension of a queued split that still fits the branch.
 
-    The split is filed, with the label the extension wants, under each of
-    that extension's formulas that has no label yet; only a different label
-    on one of them can take the extension away.  An extension held whole
-    satisfies the split for good, so it needs no watch.  Returns False
-    when no extension fits: the split leaves the branch no valuation."""
+    The split is filed, with the label set the extension wants, under each
+    of that extension's formulas whose set does not lie in it yet; only a
+    narrower set on one of them can take the extension away.  An extension
+    held whole satisfies the split for good, so it needs no watch.  Returns
+    False when no extension fits: the split leaves the branch no valuation."""
     for ext in entry[2]:
-        for g, gl in ext:
+        for g, want in ext:
             have = labels.get(g)
-            if have is not None and have != gl:
+            if have is not None and not have & want:
                 break
         else:
-            for g, gl in ext:
-                if g not in labels:
-                    watch[g] = watch.get(g, ()) + ((entry, gl),)
+            for g, want in ext:
+                have = labels.get(g)
+                if have is None or have & ~want:
+                    watch[g] = watch.get(g, ()) + ((entry, want),)
             return True
     return False
 
@@ -605,20 +812,35 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     invariants).  Raises ResourceLimitError past max_nodes
     insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
 
-    A (label, formula) that many branches insert resolves its rule once per
-    call, through a memo that is dropped when the call returns.  With
-    build_tree=False (bulk mode) no tree, rule string or closed-branch record
-    is made; `tableau.branches` then holds the open and unexplored branches
-    only.  The default build_tree=True records all of that, and it costs:
-    over the first 20 axiom-proofs blocks of the benchmark's seed 7 (1,700
-    queries, derived rules on), tree mode took 1.7 times bulk mode's time
-    (0.78 against 0.47 s on a 2-vCPU VM) and its largest proof held 3.4 MB
-    traced against 0.2 MB.  Pass build_tree=False unless the tree or the
-    closed branches are wanted.
+    The two modes run one search loop over label sets.  With build_tree=False
+    (bulk mode, as the command line runs it) a branch holds one label set
+    per formula.  A rule on a set emits boxes (`_set_rule`) whose argument
+    tuples all reach the set and which together cover its preimage, so the
+    rule keeps exactly the set's valuations; an insert intersects; a member
+    of a restriction triple narrows its labelled partners to the labels its
+    set allows beside them; and before a branch counts as open, each triple
+    member that still holds several labels is split into single ones, after
+    which the branch's sets extend to a valuation.  Branch records then
+    give each formula's labels as a sorted tuple of values.  With
+    build_tree=True every set holds one label and the rules are the paper's
+    per-label ones (`expand`), so the tree, its rule strings and the closed
+    branches' records are the paper's tableau; each label is an int.
+
+    A (label set, formula) that many branches insert resolves its rule once
+    per call, through a memo that is dropped when the call returns.  Bulk
+    mode makes no tree, rule string or closed-branch record;
+    `tableau.branches` then holds the open and unexplored branches only.
+    The tree costs: over the first 20 axiom-proofs blocks of the benchmark's
+    seed 7 (1,700 queries, derived rules on), tree mode took about 7 times
+    bulk mode's time (0.79-0.96 against 0.11-0.14 s in-process on a 2-vCPU
+    VM),
+    and its largest proof held 3.3 MB traced against 0.02 MB.  Pass
+    build_tree=False unless the tree or the closed branches are wanted.
     """
     premises = tuple(premises)
     root_formula = fold_premises(goal, premises)
-    F = logic.n + 1
+    family, n = logic.family, logic.n
+    full = (1 << (n + 2)) - 1
     start = time.perf_counter()
 
     stats = {
@@ -626,100 +848,145 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         "all_branches_closed": True, "completed": True, "early_stop": False,
     }
     finished = []  # Branch records
-    expansions = {}  # (label, formula) -> expansion_of(...), per proof
-    partners = {}    # formula -> closure partners, see _closes
-    cuts = _closure_cuts(logic.family, logic.n)
-    factored_rules = _factored_table(logic.family, logic.n)
+    expansions = {}  # (label set, formula) -> resolve(...), per proof
+    partners = {}    # x -> [x & ~x, x^1] once labelled, see _restrict
+    label_rules = _label_rules(family, n) if build_tree else None
     names = algebra.value_names(logic) if build_tree else None
 
-    def make_node(lab, f, rule, parent):
+    def signed(state):
+        """The branch's (label, formula) pairs in insertion order."""
+        if build_tree:
+            return [(s.bit_length() - 1, f) for f, s in state.labels.items()]
+        return [(_values(s), f) for f, s in state.labels.items()]
+
+    def make_node(s, f, rule, parent):
         if not build_tree:
             return parent
-        node = Node(lab, f, rule)
+        node = Node(s.bit_length() - 1, f, rule)
         if parent is not None:
             parent.children.append(node)
         return node
 
-    def expansion_of(lab, f):
-        """(extensions, derived, factored) of lab(f): the derived rule's
-        extensions when it has no more of them than the basic rule, else the
-        basic rule's; and `_factor` of them, for a basic rule resolved from
-        its template's in `_factored_table`."""
-        key = (lab, f)
-        found = expansions.get(key)
-        if found is None:
-            exts = _derived_raw(logic, lab, f) if use_derived else None
-            if exts is not None and (not exts or len(exts) <= len(
-                    _rule_table(logic.family, logic.n)[(lab, f.kind)])):
-                found = (exts, True, _factor(exts))
-            else:
-                exts = _expand_raw(logic, lab, f)
-                factored = factored_rules[(lab, f.kind)]
-                if factored is not None:
-                    shared, rests = factored
-                    factored = _resolve((shared,), f)[0], _resolve(rests, f)
-                found = (exts, False, factored)
-            expansions[key] = found
+    def resolve(s, f):
+        """(extensions, derived, factored) of s(f), or None when s asks
+        nothing of f's arguments: the derived rule's extensions when it has
+        no more of them than the basic rule, else the basic rule's; and
+        `_factor` of them, for a basic rule resolved from its template's."""
+        if build_tree:
+            label = s.bit_length() - 1
+            rule = label_rules[(label, f.kind)]
+            derived = _derived_raw(logic, label, f) if use_derived else None
+            if derived is not None:
+                derived = tuple(map(_as_sets, derived))
+        else:
+            rule = _set_rule(family, n, f.kind, s)
+            derived = _derived_set(logic, s, f) if use_derived else None
+        if rule is None:
+            return None
+        template, factored = rule
+        exts = _resolve(template, f)
+        if not build_tree and f.left is f.right:
+            exts = _merge_pairs(exts)
+            factored = _factor(exts)
+        elif factored is not None:
+            shared, rests = factored
+            factored = _resolve((shared,), f)[0], _resolve(rests, f)
+        if derived is not None and len(derived) <= len(exts):
+            return derived, True, _factor(derived)
+        return exts, False, factored
+
+    def expansion_of(s, f):
+        key = (s, f)
+        if key in expansions:
+            return expansions[key]
+        found = expansions[key] = resolve(s, f)
         return found
 
-    def rule_name(lab, f, derived):
+    def rule_name(s, f, derived):
         if not build_tree:
             return None
-        return f"{names[lab]}({_CONN_LABEL.get(f.kind, '?')})" \
+        return f"{names[s.bit_length() - 1]}({_CONN_LABEL.get(f.kind, '?')})" \
             + (" derived" if derived else "")
 
     def split_conflicts(entry):
         """The closure reason of a queued split none of whose extensions fit."""
         if not build_tree:
             return "split conflicts"
-        lab, f = entry[:2]
-        return f"every extension of {names[lab]}({f.text}) conflicts"
+        s, f = entry[:2]
+        return f"every extension of {names[s.bit_length() - 1]}({f.text}) conflicts"
 
-    def insert(state, lab, f, rule, source=None):
-        """Add lab(f) to the branch; returns the closure reason, or None
-        while the branch stays open.  `source` is the formula whose split
-        puts a whole extension on the branch, lab(f) among it, if any."""
+    def insert(state, s, f, rule, source=None):
+        """Narrow f's label set on the branch to s, then the labelled
+        members of its restriction triples to what that allows, one at a
+        time and depth first; returns the closure reason, or None while the
+        branch stays open.  `source` is the formula whose split puts a whole
+        extension on the branch, s(f) among it, if any."""
+        pending = []
+        reason = place(state, s, f, rule, source, pending)
+        while reason is None and pending:
+            s, f = pending.pop()
+            reason = place(state, s, f, rule, None, pending)
+        return reason
+
+    def place(state, s, f, rule, source, pending):
+        """One narrowing of `insert`; pushes the partner narrowings it
+        implies onto `pending`."""
         labels = state.labels
-        existing = labels.get(f)
-        if existing is not None:
-            if existing == lab:
-                return None
-            state.leaf = make_node(lab, f, rule, state.leaf)
-            stats["nodes"] += 1
+        have = labels.get(f, full)
+        new = have & s
+        if new == have:
+            return None
+        state.leaf = make_node(s, f, rule, state.leaf)
+        stats["nodes"] += 1
+        if not new:
             # Bulk mode records no closed branch, so it needs no formula text.
             return f"label conflict on {f.text}" if build_tree else "label conflict"
-        reason = _closes(cuts, labels, f, lab, partners)
-        labels[f] = lab
-        state.leaf = make_node(lab, f, rule, state.leaf)
-        stats["nodes"] += 1
+        triple = f.conj_base is not None or f.pow_height >= 1 or f in partners
+        reason = None
+        if triple:
+            _note_partner(partners, f)
+            restricted, reason = _restrict(family, n, labels, partners, f, new)
+            if reason is None:
+                new = restricted
+        labels[f] = new
         if stats["nodes"] > max_nodes:
             raise ResourceLimitError(f"tableau exceeded {max_nodes} nodes")
         if reason is not None:
             return reason
-        # A queued split whose watched extension wanted another label on f
+        # A queued split whose watched extension wanted other labels on f
         # may have no extension left that fits: then close now, before any
         # other step spends nodes.  The split being applied needs no look:
-        # the extension going in fits, or its own insert conflicts.
+        # the extension going in fits, or its own insert conflicts.  A split
+        # queued for a wider set of its formula than the branch now holds
+        # is stale: the narrower set queued its own.
         watchers = state.watch.pop(f, None)
         if watchers is not None:
             for entry, want in watchers:
-                if want != lab and entry[1] is not source \
-                        and not _watch(labels, state.watch, entry):
-                    return split_conflicts(entry)
-        if f.kind == VAR:
-            return None
-        exts, derived, factored = expansion_of(lab, f)
-        if derived:
-            stats["derived_rule_hits"] += 1
-        if len(exts) == 0:
-            return "unsatisfiable signed formula"
-        entry = (lab, f, exts, derived, factored)
-        if len(exts) == 1:
-            state.simple.append(entry)
-            return None
-        state.branching.append(entry)
-        if not _watch(labels, state.watch, entry):
-            return split_conflicts(entry)
+                if entry[1] is source or labels[entry[1]] != entry[0]:
+                    continue
+                if not new & want:
+                    if not _watch(labels, state.watch, entry):
+                        return split_conflicts(entry)
+                elif new & ~want:
+                    state.watch[f] = state.watch.get(f, ()) + ((entry, want),)
+        if f.kind != VAR:
+            found = expansion_of(new, f)
+            if found is not None:
+                exts, derived, factored = found
+                if derived:
+                    stats["derived_rule_hits"] += 1
+                if not exts:
+                    return "unsatisfiable signed formula"
+                entry = (new, f, exts, derived, factored)
+                if len(exts) == 1:
+                    state.simple.append(entry)
+                else:
+                    state.branching.append(entry)
+                    if not _watch(labels, state.watch, entry):
+                        return split_conflicts(entry)
+        if triple:
+            pending.extend(reversed(_partner_narrowings(
+                family, n, labels, partners, f, new)))
         return None
 
     def finish(state, status, reason=""):
@@ -733,10 +1000,10 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         # Bulk mode keeps only open branches (closed-branch records on large
         # tableaux would dominate memory); tree mode records everything.
         if build_tree or status == "open":
-            finished.append(Branch(_signed(state), status, reason))
+            finished.append(Branch(signed(state), status, reason))
 
     root_state = _BranchState({}, deque(), deque(), {}, None)
-    reason = insert(root_state, F, root_formula, "root")
+    reason = insert(root_state, 1 << (n + 1), root_formula, "root")
     root_node = root_state.leaf if build_tree else None
     stack = []
     if reason is None:
@@ -745,77 +1012,121 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         finish(root_state, "closed", reason)
 
     def pop_simple(state):
-        # Prefer a queued step that conflicts with a label already on the
+        # Prefer a queued step that conflicts with a label set on the
         # branch: it closes the branch now, so no other step should be able
-        # to spend nodes first.
-        for i, entry in enumerate(state.simple):
-            for g, gl in entry[2][0]:
-                have = state.labels.get(g)
-                if have is not None and have != gl:
-                    del state.simple[i]
-                    return entry
-        return state.simple.popleft()
+        # to spend nodes first.  Stale steps are dropped.
+        labels = state.labels
+        queue = state.simple
+        for i, entry in enumerate(queue):
+            if labels[entry[1]] == entry[0]:
+                for g, want in entry[2][0]:
+                    have = labels.get(g)
+                    if have is not None and not have & want:
+                        del queue[i]
+                        return entry
+        while queue:
+            entry = queue.popleft()
+            if labels[entry[1]] == entry[0]:
+                return entry
+        return None
 
     def pop_branching(state):
         # Unit first: the first queued split that the branch's labels force
         # (already satisfied, closing, or down to one extension) is applied
         # before any real split clones the branch.  Else the queue's head.
+        # Stale splits are dropped.
+        labels = state.labels
+        queue = state.branching
         head = None
-        for i, entry in enumerate(state.branching):
-            filtered = _prefilter(state.labels, entry[2])
+        i = 0
+        while i < len(queue):
+            entry = queue[i]
+            if labels[entry[1]] != entry[0]:
+                del queue[i]
+                continue
+            filtered = _prefilter(labels, entry[2])
             if filtered[0] or len(filtered[1]) <= 1:
-                del state.branching[i]
+                del queue[i]
                 return entry, filtered
             if head is None:
                 head = filtered
-        return state.branching.popleft(), head
+            i += 1
+        return None if head is None else (queue.popleft(), head)
+
+    def ungrounded(state):
+        """The least complex restriction triple member that still holds
+        several labels: x & ~x, x^1, or an x beside a labelled partner.
+        Splitting a tower's base first narrows the members above it."""
+        labels = state.labels
+        found = None
+        for g, s in labels.items():
+            if s & (s - 1) and (g.conj_base is not None or g.pow_height >= 1
+                                or any(p in labels for p in partners.get(g, ()))) \
+                    and (found is None or g.complexity < found[0].complexity):
+                found = g, s
+        return found
 
     while stack:
         state = stack.pop()
         closed_reason = None
         while True:
             if state.simple:
-                lab, f, exts, derived, _ = pop_simple(state)
-                rule = rule_name(lab, f, derived)
-                for g, gl in exts[0]:
-                    closed_reason = insert(state, gl, g, rule)
+                entry = pop_simple(state)
+                if entry is None:
+                    continue
+                s, f, exts, derived, _ = entry
+                rule = rule_name(s, f, derived)
+                for g, want in exts[0]:
+                    closed_reason = insert(state, want, g, rule)
                     if closed_reason is not None:
                         break
                 if closed_reason is not None:
                     break
                 continue
-            if not state.branching:
-                break
-            (lab, f, exts, derived, factored), (satisfied, survivors, conflicted) = \
-                pop_branching(state)
-            if satisfied:
-                continue
-            rule = rule_name(lab, f, derived)
-            if factored is not None and len(survivors) > 1:
-                # Every extension holds the shared part: the branch takes it
-                # once, and the rests go to the queue's tail as one split.
-                shared, rests = factored
-                for g, gl in shared:
-                    closed_reason = insert(state, gl, g, rule)
-                    if closed_reason is not None:
-                        break
-                if closed_reason is not None:
-                    break
-                state.branching.append((lab, f, rests, derived, None))
-                continue
-            for ext, (g, gl) in conflicted:
-                stats["branches"] += 1
-                stats["closures"] += 1
-                if build_tree:
-                    reason = f"label conflict on {g.text}"
-                    leaf = state.leaf
-                    for h, hl in ext:
-                        leaf = make_node(hl, h, rule, leaf)
-                        if h is g:
+            if state.branching:
+                popped = pop_branching(state)
+                if popped is None:
+                    continue
+                (s, f, exts, derived, factored), (satisfied, survivors, conflicted) = popped
+                if satisfied:
+                    continue
+                rule = rule_name(s, f, derived)
+                if factored is not None and len(survivors) > 1:
+                    # Every extension holds the shared part: the branch takes
+                    # it once, and the rests go to the queue's tail as one split.
+                    shared, rests = factored
+                    for g, want in shared:
+                        closed_reason = insert(state, want, g, rule)
+                        if closed_reason is not None:
                             break
-                    leaf.status = f"closed: {reason}"
-                    finished.append(Branch(_signed(state) + [(gl, g)],
-                                           "closed", reason))
+                    if closed_reason is not None:
+                        break
+                    state.branching.append((s, f, rests, derived, None))
+                    continue
+                for ext, (g, want) in conflicted:
+                    stats["branches"] += 1
+                    stats["closures"] += 1
+                    if build_tree:
+                        reason = f"label conflict on {g.text}"
+                        leaf = state.leaf
+                        for h, hs in ext:
+                            leaf = make_node(hs, h, rule, leaf)
+                            if h is g:
+                                break
+                        leaf.status = f"closed: {reason}"
+                        finished.append(Branch(signed(state) + [(want.bit_length() - 1, g)],
+                                               "closed", reason))
+                source = f
+            else:
+                # Nothing is queued: a triple member with several labels
+                # splits into one branch per label before the branch counts
+                # as open (bulk mode only; tree mode holds single labels).
+                grounding = ungrounded(state)
+                if grounding is None:
+                    break
+                g, s = grounding
+                rule = source = None
+                survivors = [((g, 1 << v),) for v in _values(s)]
             # The last survivor takes the branch itself, so a forced step
             # clones nothing; every other survivor gets a copy.
             children = []
@@ -823,8 +1134,8 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             for i, ext in enumerate(survivors):
                 child = state if i == last else state.clone()
                 child_closed = None
-                for g, gl in ext:
-                    child_closed = insert(child, gl, g, rule, f)
+                for g, want in ext:
+                    child_closed = insert(child, want, g, rule, source)
                     if child_closed is not None:
                         break
                 if child_closed is not None:
@@ -848,7 +1159,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 stats["all_branches_closed"] = False
                 if build_tree and st.leaf is not None:
                     st.leaf.status = "unexplored"
-                finished.append(Branch(_signed(st), "open", "unexplored"))
+                finished.append(Branch(signed(st), "open", "unexplored"))
             break
 
     stats["elapsed"] = time.perf_counter() - start

@@ -729,9 +729,10 @@ def extend_partial(logic, domain_formulas, nu0):
     """Extend a partial assignment to a restricted valuation over the domain.
 
     Preconditions: `domain_formulas` is subformula-closed, and `nu0` (a map
-    from formulas in the domain to value indices) must be compatible with the
-    multioperation cells and the restriction clauses.  Violations raise
-    ExtensionError naming the offending formula.
+    from formulas in the domain to a value index, or to a tuple of the value
+    indices allowed there) must be compatible with the multioperation cells
+    and the restriction clauses.  Violations raise ExtensionError naming the
+    offending formula.
 
     Unpinned columns are searched depth-first in canonical value order, so the
     result is deterministic; backtracking handles pins on formulas whose
@@ -751,14 +752,18 @@ def extend_partial(logic, domain_formulas, nu0):
                     f"domain is not subformula-closed: {f.text} needs {k.text}",
                     formula=f)
     m = logic.n + 2
+    pins = {}
     for f, v in nu0.items():
         if f not in domain:
             raise ExtensionError(
                 f"assigned formula {f.text} is outside the domain", formula=f)
-        if not isinstance(v, int) or not 0 <= v < m:
+        allowed = (v,) if isinstance(v, int) else v
+        if not isinstance(allowed, tuple) or not allowed or any(
+                not isinstance(w, int) or not 0 <= w < m for w in allowed):
             raise ExtensionError(
                 f"value {v!r} for {f.text} is outside the {m}-element domain",
                 formula=f)
+        pins[f] = allowed
 
     plan = _Plan(logic, columns)
     ncols = len(columns)
@@ -773,9 +778,9 @@ def extend_partial(logic, domain_formulas, nu0):
         if j == len(stack):
             deepest = max(deepest, j)
             live, _ = plan.candidates(j, values)
-            pinned = nu0.get(columns[j])
+            pinned = pins.get(columns[j])
             if pinned is not None:
-                live = (pinned,) if pinned in live else ()
+                live = [v for v in live if v in pinned]
             stack.append(iter(live))
         values[j] = next(stack[j], None)
         if values[j] is None:

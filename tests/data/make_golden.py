@@ -53,26 +53,34 @@ DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (
     "prove() results (build_tree=False, stop_on_open=True, default max_nodes), "
-    "recorded with unit-first branching (forced splits before real ones), "
-    "shared conclusions factored (a real split puts the part that all its "
-    "extensions share on the branch once and queues the rests at the tail), "
-    "early closing (a queued split with no extension left that fits closes "
-    "the branch at the insert that takes the last one) and derived rules used "
-    "only where they have no more extensions than the basic rule; "
-    "derived_rule_hits counts signed formulas put on a branch whose rule is "
-    "derived. "
+    "recorded with label sets: a branch holds one set of values per formula, "
+    "a rule on a set emits boxes read off the tables (a C_n T(A & B) is the "
+    "one extension A, B designated), an insert intersects and closes on an "
+    "empty set, a member of a restriction triple (x, x & ~x, x^1) narrows its "
+    "labelled partners, and one that still holds several labels is split into "
+    "single labels once nothing else is queued on its branch; derived rules "
+    "on a set are the union of their per-label extensions. The search keeps "
+    "unit-first branching (forced splits before real ones), shared conclusions "
+    "factored (a real split puts the part that all its extensions share on the "
+    "branch once and queues the rests at the tail), early closing (a queued "
+    "split with no extension left that fits closes the branch at the insert "
+    "that takes the last one) and derived rules used only where they have no "
+    "more extensions than the basic rule; derived_rule_hits counts signed "
+    "formulas put on a branch whose rule is derived. "
     "Corpus: random.Random(20110510); per logic, 40 random_formula goals over "
     "p, q, r (sizes up to C1/mbCcl/Cila 7, C2 6, C3 5, C4 4 connectives; every "
     "third goal with 1-2 premises of 0-3 connectives; use_derived on every odd "
     "goal), then one instance of each axiom schema with substituents of 0-2 "
     "connectives (0-1 in C3/C4), proved with use_derived on. branch_records are "
-    "[status, reason, [[label, formula text], ...]]; countermodel maps formula "
-    "text to value index. trees: per logic, the first 2 random goals and the "
-    "first 2 axiom instances (those that fire a derived rule first) whose "
-    "completed tableau has at most 300 nodes, rerun with build_tree=True, "
-    "stop_on_open=False; text is their tableau_to_text. Closure reasons in text "
-    "come from the restriction check derived from algebra (_closure_cuts); "
-    "t(@x) in Cila closes through its rule, as an unsatisfiable signed formula.")
+    "[status, reason, [[labels, formula text], ...]], labels the sorted values "
+    "the formula may still take; countermodel maps formula text to value index. "
+    "trees: per logic, the first 2 random goals and the first 2 axiom instances "
+    "(those that fire a derived rule first) whose completed tableau, recorded "
+    "with build_tree=True and so with the per-label rules of expand(), has at "
+    "most 300 nodes, rerun with stop_on_open=False; text is their "
+    "tableau_to_text. Closure reasons in text come from the restriction check "
+    "derived from algebra (_closure_cuts); t(@x) in Cila closes through its "
+    "rule, as an unsatisfiable signed formula.")
 PROVE_MAX = {"C1": 7, "C2": 6, "C3": 5, "C4": 4, "mbCcl": 7, "Cila": 7}
 AXIOM_MAX = {"C1": 2, "C2": 2, "C3": 1, "C4": 1, "mbCcl": 2, "Cila": 2}
 TREES_PER_PART, TREE_NODES = 2, 300
@@ -115,10 +123,11 @@ def prove_corpus():
 
 
 def _tree_stats(q):
-    """Stats of the completed tableau of q, or None past TREE_NODES nodes."""
+    """Stats of the completed recorded tableau of q, or None past
+    TREE_NODES nodes."""
     try:
         return prove(*_parsed(q), use_derived=q["use_derived"], stop_on_open=False,
-                     max_nodes=TREE_NODES, build_tree=False).tableau.stats
+                     max_nodes=TREE_NODES, build_tree=True).tableau.stats
     except ResourceLimitError:
         return None
 
@@ -200,7 +209,7 @@ def prove_record(q, tree=False):
         rec["text"] = tableau_to_text(res.tableau)
     else:
         rec["branch_records"] = [[b.status, b.reason,
-                                  [[l, f.text] for l, f in b.signed]]
+                                  [[list(labels), f.text] for labels, f in b.signed]]
                                  for b in res.tableau.branches]
     rec["countermodel"] = _countermodel(q, res.countermodel)
     return rec

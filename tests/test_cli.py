@@ -184,6 +184,26 @@ class TestDecideJson:
         assert doc["exit"] == 0
 
 
+class TestSmallTowers:
+    """Goals over a small tower that per-label tableau branching took past
+    the default node cap (exit 3); both engines answer them, and agree."""
+
+    @pytest.mark.parametrize("logic, premises, goal, code", [
+        ("C4", None, "p^(4) -> ~~(~p & ((q -> p) -> p -> p)) | q", 1),
+        ("C5", "p | q; ~(q -> p)", "p^(5) -> p -> q", 0),
+        ("C5", "(q | q & p) & ~p; q & q -> q",
+         "p^(5) -> ~(p | p | (~q -> p | p))", 1),
+    ], ids=["C4", "C5-entailed", "C5-refuted"])
+    def test_both_engines_answer(self, capsys, logic, premises, goal, code):
+        argv = ["decide", "--logic", logic, "--formula", goal, "--format", "json"]
+        if premises is not None:
+            argv += ["--premises", premises]
+        got, out, _ = run_cli(capsys, *argv)
+        assert got == code
+        doc = json.loads(out)
+        assert doc["agree"] is True and doc["entailed"] is (code == 0)
+
+
 class TestResourceCaps:
     def test_max_work_flag(self, capsys):
         code, _, err = run_cli(
@@ -510,7 +530,8 @@ class TestEmitFiles:
 
 # Goals for the no-traceback matrix: valid, invalid, a syntax error, a
 # connective outside C1's signature, and a goal past both caps of the run.
-ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p", "(p & q) & r -> r & (q & p)"]
+ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p",
+                "(p | q) & (r | s) & (t | u) -> (q | p) & (s | r) & (u | t)"]
 
 
 class TestNoTraceback:

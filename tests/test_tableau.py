@@ -35,15 +35,21 @@ from dacosta.tableau import (
     prove,
     tableau_to_json,
     tableau_to_text,
-    _closes,
-    _closure_cuts,
+    _derived_raw,
+    _derived_set,
     _factored_table,
+    _merge_pairs,
+    _note_partner,
     _pow_chain_step,
     _prefilter,
+    _resolve,
+    _restrict,
     _rule_table,
+    _set_rule,
 )
 from dacosta.errors import ExtensionError
-from dacosta.formula import AND, CONS, IMP, NEG, OR, ordered_subformulas
+from dacosta.formula import (AND, CONS, IMP, NEG, OR, ordered_subformulas,
+                             random_formula)
 from dacosta.truthtable import check_valuation, decide, extend_partial
 
 from conftest import random_corpus
@@ -221,6 +227,98 @@ class TestSharedConclusions:
         assert rests == tuple(((0, a),) for a in range(5))
 
 
+def admitted(exts, arity, dom):
+    """The argument tuples that some extension of (side, label set) pairs
+    admits."""
+    return {args for args in itertools.product(range(dom), repeat=arity)
+            if any(all(s >> args[side] & 1 for side, s in ext) for ext in exts)}
+
+
+class TestSetRuleCoherence:
+    """Bulk mode's rules on label sets against the tables and the per-label
+    rules, for every connective and every non-empty label set: the boxes of
+    `_set_rule` lie in the set's preimage and cover it, a one-label set
+    admits what `expand`'s rule admits, and a derived set rule is the union
+    of the per-label derived extensions."""
+
+    LOGICS = COHERENCE_LOGICS + [C(5)]
+
+    @staticmethod
+    def kinds(lg):
+        forms = {NEG: Neg(X), AND: And(X, Y), OR: Or(X, Y), IMP: Imp(X, Y)}
+        if lg.has_circ:
+            forms[CONS] = Cons(X)
+        return forms
+
+    @pytest.mark.parametrize("lg", LOGICS, ids=lambda l: l.name)
+    def test_boxes_cover_the_preimage(self, lg):
+        dom = domain_size(lg)
+        full = (1 << dom) - 1
+        for kind in self.kinds(lg):
+            arity = 1 if kind in (NEG, CONS) else 2
+            tuples = set(itertools.product(range(dom), repeat=arity))
+            for mask in range(1, full + 1):
+                want = {args for args in tuples if any(
+                    mask >> c & 1 for c in mult_op(lg, CONN_NAMES[kind], args))}
+                rule = _set_rule(lg.family, lg.n, kind, mask)
+                if rule is None:
+                    assert want == tuples, (lg.name, kind, mask)
+                    continue
+                exts, factored = rule
+                for ext in exts:
+                    assert ext and all(0 < s < full for _, s in ext)
+                    assert admitted([ext], arity, dom) <= want, (kind, mask, ext)
+                assert admitted(exts, arity, dom) == want, (lg.name, kind, mask)
+                if factored is not None:
+                    shared, rests = factored
+                    joined = [shared + rest for rest in rests]
+                    assert admitted(joined, arity, dom) == want, (kind, mask)
+
+    @pytest.mark.parametrize("lg", LOGICS, ids=lambda l: l.name)
+    def test_one_label_sets_match_expand(self, lg):
+        dom = domain_size(lg)
+        for kind, f in self.kinds(lg).items():
+            arity = 1 if kind in (NEG, CONS) else 2
+            for label in range(dom):
+                per_label = [tuple((0 if sf.formula == X else 1, 1 << sf.label)
+                                   for sf in ext)
+                             for ext in expand(lg, SignedFormula(label, f))]
+                rule = _set_rule(lg.family, lg.n, kind, 1 << label)
+                got = set(itertools.product(range(dom), repeat=arity)) \
+                    if rule is None else admitted(rule[0], arity, dom)
+                assert got == admitted(per_label, arity, dom), (kind, label)
+
+    @pytest.mark.parametrize("lg", LOGICS, ids=lambda l: l.name)
+    def test_derived_sets_are_unions(self, lg):
+        dom = domain_size(lg)
+        forms = TestDerivedRuleCoherence.towers(lg.n)
+        if lg.n == 1:
+            forms.append(And(pow(X, 1), pow(Y, 1)))
+        for f in forms:
+            for mask in range(1, (1 << dom)):
+                per_label = [_derived_raw(lg, v, f) for v in range(dom)
+                             if mask >> v & 1]
+                got = _derived_set(lg, mask, f)
+                if any(exts is None for exts in per_label):
+                    assert got is None, (f.text, mask)
+                    continue
+                want = {frozenset(ext) for exts in per_label for ext in exts}
+                if got is None:
+                    # The one-pair extensions on some formula allow every value.
+                    singles = {}
+                    for ext in want:
+                        if len(ext) == 1:
+                            (g, v), = ext
+                            singles.setdefault(g, set()).add(v)
+                    assert set(range(dom)) in singles.values(), (f.text, mask)
+                    continue
+                spelled = {frozenset(zip([g for g, _ in ext], labels))
+                           for ext in got for labels in itertools.product(
+                               *[[v for v in range(dom) if s >> v & 1]
+                                 for _, s in ext])}
+                assert spelled == want, (f.text, mask)
+
+
 class TestDerivedRules:
     def test_mbccl_has_none(self):
         for f in (pow(X, 1), Neg(pow(X, 2)), powseq(X, 2), And(X, Y)):
@@ -318,7 +416,12 @@ class TestDerivedRuleCoherence:
 
 
 def closes(lg, labels, f, lab):
-    return _closes(_closure_cuts(lg.family, lg.n), labels, f, lab, {})
+    """Why lab(f) closes a branch with the one-label `labels`, or None."""
+    partners = {}
+    for g in labels:
+        _note_partner(partners, g)
+    sets = {g: 1 << v for g, v in labels.items()}
+    return _restrict(lg.family, lg.n, sets, partners, f, 1 << lab)[1]
 
 
 class TestClosure:
@@ -519,14 +622,20 @@ class TestForcedSplitsFirst:
     order the C4 Ax2 tail took up to 73,518 nodes and the C3 query 3,030."""
 
     def test_prefilter_sorts_extensions(self):
-        exts = (((P, 0), (Q, 0)), ((P, 1),), ((P, 0), (Q, 2)), ((Q, 1),))
-        assert _prefilter({P: 0}, exts) == (
-            False, [((P, 0), (Q, 0)), ((P, 0), (Q, 2)), ((Q, 1),)],
-            [(((P, 1),), (P, 1))])
-        assert _prefilter({P: 0, Q: 2}, exts)[0]
-        satisfied, survivors, conflicted = _prefilter({P: 2, Q: 0}, exts)
+        # Label sets as bitmasks: bit v for value v.
+        T, t, F = 1, 2, 4
+        exts = (((P, T), (Q, T)), ((P, t),), ((P, T), (Q, F)), ((Q, t),))
+        assert _prefilter({P: T}, exts) == (
+            False, [((P, T), (Q, T)), ((P, T), (Q, F)), ((Q, t),)],
+            [(((P, t),), (P, t))])
+        assert _prefilter({P: T, Q: F}, exts)[0]
+        satisfied, survivors, conflicted = _prefilter({P: F, Q: T}, exts)
         assert not satisfied and survivors == []
-        assert [c for _, c in conflicted] == [(P, 0), (P, 1), (P, 0), (Q, 1)]
+        assert [c for _, c in conflicted] == [(P, T), (P, t), (P, T), (Q, t)]
+        # A set is held only once it lies inside the extension's set.
+        wide = (((P, T | t),), ((Q, F),))
+        assert _prefilter({P: T | t}, wide)[0]
+        assert _prefilter({P: T | F}, wide) == (False, list(wide), [])
 
     def test_c4_ax2_tail(self):
         lg = C(4)
@@ -590,6 +699,96 @@ class TestSharedConclusionsFirst:
         res = prove(lg, f, use_derived=True, stop_on_open=False)
         names = value_names(lg)
         assert res.tableau.root.children[0].rule == f"{names[3]}(~)"
+
+
+def tower(rng, lg):
+    """A random tower over a 0-1 connective root: x^k, x^(k), ~(x^k) or
+    x^k & ~(x^k), k up to n + 1."""
+    x = random_formula(rng, lg, rng.randint(0, 1), ("p", "q"))
+    k = rng.randint(1, lg.n + 1)
+    return rng.choice([pow(x, k), powseq(x, k), Neg(pow(x, k)),
+                       And(pow(x, k), Neg(pow(x, k)))])
+
+
+class TestLabelSets:
+    """Bulk mode: one label set per formula on a branch."""
+
+    CAPPED = [
+        (C(4), (), "p^(4) -> ~~(~p & ((q -> p) -> p -> p)) | q", False),
+        (C(5), ("p | q", "~(q -> p)"), "p^(5) -> p -> q", True),
+        (C(5), ("(q | q & p) & ~p", "q & q -> q"),
+         "p^(5) -> ~(p | p | (~q -> p | p))", False),
+    ]
+
+    @pytest.mark.parametrize("lg, premises, goal, entailed", CAPPED,
+                             ids=["C4", "C5-entailed", "C5-refuted"])
+    def test_small_towers_stay_small(self, lg, premises, goal, entailed):
+        # Per-label branching passed 1M nodes on each, derived rules off.
+        res = prove(lg, parse(goal, lg), tuple(parse(p, lg) for p in premises),
+                    build_tree=False)
+        assert res.proved == entailed
+        assert res.tableau.stats["nodes"] <= 20_000
+
+    def test_same_formula_pairs_merge(self):
+        t, F = 1 << 1, 1 << 2
+        # C1 t(q & q): both boxes of t(&) leave q the label t.
+        exts, _ = _set_rule("C", 1, AND, t)
+        assert len(exts) == 2
+        assert _merge_pairs(_resolve(exts, And(Q, Q))) == (((Q, t),),)
+        # C1 F(q -> q) wants q designated and false: no extension is left.
+        exts, _ = _set_rule("C", 1, IMP, F)
+        assert _merge_pairs(_resolve(exts, Imp(Q, Q))) == ()
+
+    def test_same_formula_split_clones_nothing(self):
+        # Per-label rules on s -> s made a survivor that cloned the branch
+        # only to conflict on its second insert.
+        goal = parse("@(s -> s) -> (s -> s) -> ~(s -> s) -> ~(s -> s)", MBCCL)
+        res = prove(MBCCL, goal, build_tree=False)
+        assert res.proved and res.tableau.stats["branches"] == 1
+
+    def test_open_branch_records_label_sets(self):
+        # F(p & ~p -> q) in C2: p is split into single labels before the
+        # branch counts as open, while ~p keeps a label set.
+        res = prove(C(2), parse("p & ~p -> q"), build_tree=False)
+        assert not res.proved
+        labels = res.tableau.branches[0].labels
+        assert all(isinstance(v, tuple) and v == tuple(sorted(v))
+                   for v in labels.values())
+        assert len(labels[P]) == 1 and len(labels[Neg(P)]) > 1
+        cm = res.countermodel
+        assert check_valuation(C(2), dict(cm.items())) == []
+        assert cm[P] in labels[P] and cm[Neg(P)] in labels[Neg(P)]
+
+    def test_agrees_with_decide(self):
+        # Seeded goals over p, q with premises and towers; every bulk
+        # countermodel replays with the premises designated, the goal not.
+        # The cap stands for "stays small": grounding triple members only
+        # once nothing else is queued, without narrowing their partners,
+        # passed it on C5 towers without derived rules.
+        rng = random.Random(1414)
+        sizes = {1: 6, 2: 5, 3: 4, 4: 3, 5: 3}
+        for lg in COHERENCE_LOGICS + [C(5)]:
+            for _ in range(500):
+                goal = random_formula(rng, lg, rng.randint(0, sizes[lg.n]),
+                                      ("p", "q"))
+                if rng.random() < 0.5:
+                    goal = Imp(tower(rng, lg), goal)
+                premises = tuple(random_formula(rng, lg, rng.randint(0, 3),
+                                                ("p", "q"))
+                                 for _ in range(rng.randint(0, 2)))
+                if rng.random() < 0.3:
+                    premises += (tower(rng, lg),)
+                entailed = decide(lg, goal, premises).entailed
+                for derived in (False, True):
+                    res = prove(lg, goal, premises, use_derived=derived,
+                                max_nodes=200_000, build_tree=False)
+                    query = (lg.name, derived, goal.text, [p.text for p in premises])
+                    assert res.proved == entailed, query
+                    if not entailed:
+                        cm = dict(res.countermodel.items())
+                        assert check_valuation(lg, cm) == [], query
+                        assert cm[goal] > lg.n, query
+                        assert all(cm[p] <= lg.n for p in premises), query
 
 
 class TestExtraction:
@@ -747,20 +946,22 @@ class TestGoldenCheck:
 
 
 class TestTreeAndBulkStats:
-    """`prove` counts the same search with and without a recorded tree."""
+    """Tree mode runs the paper's per-label rules and bulk mode label sets:
+    their searches and counts differ, their answers do not."""
 
     @pytest.mark.parametrize("stop_on_open", [True, False])
-    def test_stats_match(self, stop_on_open):
+    def test_verdicts_match(self, stop_on_open):
         golden = json.loads((DATA / "prove_golden.json").read_text())
-        parsed = load_make_golden()._parsed
+        mg = load_make_golden()
         for row in golden["queries"] + golden["trees"]:
-            stats = []
+            verdicts = []
             for build_tree in (True, False):
-                res = prove(*parsed(row), use_derived=row["use_derived"],
+                res = prove(*mg._parsed(row), use_derived=row["use_derived"],
                             stop_on_open=stop_on_open, build_tree=build_tree)
-                stats.append({k: v for k, v in res.tableau.stats.items()
-                              if k != "elapsed"})
-            assert stats[0] == stats[1], row
+                verdicts.append(res.proved)
+                # Raises BadCountermodel unless the countermodel replays.
+                mg._countermodel(row, res.countermodel)
+            assert verdicts == [row["proved"]] * 2, row
 
     def test_tree_draws_prefilter_conflicts(self):
         # A split's extension that conflicts with the branch is drawn as a
