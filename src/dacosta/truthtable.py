@@ -35,9 +35,18 @@ Two engines share this semantics:
                step (bucket elimination, Dechter 1999), so it never takes a
                state slot: the values of a tower level's ~y, which the
                restriction collapses again at y & ~y, never widen a
-               frontier.  The countermodel walk takes each step's entry back
-               to the target and reads off its values, the first of the
-               class in cell order.
+               frontier.  A one-input run, a block of three or more plain
+               columns that depend on one earlier column x alone and, but
+               for the last, are read only inside the block (the tower
+               x^1 ... x^(n) over its base), is summed out in one step too:
+               its table, local to the call, is filled once per class of x
+               by the same steps and forward loop over the block alone.
+               That is sound because no other column reads the block's
+               interior, and x's slot already holds the meet of all its
+               readers' classes, the block's among them, so every value of
+               the class gives the block the same cells.  The countermodel
+               walk takes each step's entry back to the target and reads
+               off its values, the first of the class in cell order.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; the DP's successor and pair
@@ -53,7 +62,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from . import algebra
@@ -510,6 +519,55 @@ class _PairTable(dict):
 _pair_entries = {}
 
 
+class _RunTable(dict):
+    """Successor table of a one-input run, local to one decide call.
+
+    A run is a block of plain columns whose only outside input is one
+    column x (see _runs).  The table maps x's class to (entries, pruned):
+    on first lookup it runs the run's own steps, column and pair steps
+    only, from the state (x's class,) with count 1 (_forward, charging the
+    states after the first to the call's budget).  Each state of the last
+    frontier, the class of the run's last column, is a tail; its
+    multiplicity is the state's count and its values are those of the
+    first path to it in frontier order (_walk), one per column of the run.
+    pruned is the path-weighted count of the cell values the restriction
+    forbids.
+    """
+
+    __slots__ = ("steps", "budget")
+
+    def __init__(self, steps, budget):
+        super().__init__()
+        self.steps = steps
+        self.budget = budget
+
+    def __missing__(self, inputs):
+        # The fill's first state stands for the states entering the run that
+        # hold this class, which the run step has counted already.
+        self.budget.work -= 1
+        frontier, frontiers, pruned = _forward(self.steps, {inputs: 1}, self.budget)
+        entry = self[inputs] = (
+            tuple((tail, mult, _walk(self.steps, frontiers, tail))
+                  for tail, mult in frontier.items()), pruned)
+        return entry
+
+
+class _Budget:
+    """The states one decide call has expanded (work), against its cap."""
+
+    __slots__ = ("work", "max_work")
+
+    def __init__(self, max_work):
+        self.work = 0
+        self.max_work = max_work
+
+    def spend(self, states):
+        self.work += states
+        if self.work > self.max_work:
+            raise ResourceLimitError(
+                f"decision DP exceeded {self.max_work} state expansions")
+
+
 @lru_cache(maxsize=None)
 def _meet(a, b):
     """The class map whose classes are the intersections of the classes of
@@ -526,10 +584,126 @@ def _getter(slots):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
 
 
+def _runs(plan, last):
+    """{start: (end, x, x's last reader in the run)} of the one-input runs.
+
+    A run is a block start..end of at least three plain columns that read
+    nothing from outside the block but one column x, and each of which but
+    the last is read only inside the block.  Blocks are taken left to
+    right, each as long as it can be.
+    """
+    roles = {plan.goal_ix, *plan.premise_ix}
+    runs = {}
+    entries = plan.entries
+    ncols = len(entries)
+    i = 0
+    while i < ncols:
+        srcs, found = entries[i][1], None
+        if srcs and i not in roles and srcs.count(srcs[0]) == len(srcs):
+            x = srcs[0]
+            # reach: the last reader of the columns i..k-1
+            reach = x_last = k = i
+            while k < ncols and k not in roles:
+                srcs = entries[k][1]
+                # column k joins the block if it reads no column before the
+                # block but x; x_last moves to k only when k reads x
+                if x in srcs:
+                    for s in srcs:
+                        if s < i and s != x:
+                            break
+                    else:
+                        x_last = k
+                    if x_last < k:
+                        break
+                elif srcs and min(srcs) < i:
+                    break
+                if reach <= k and k - i >= 2:
+                    found = (k, x, x_last)
+                if last[k] > reach:
+                    reach = last[k]
+                k += 1
+        if found is None:
+            i += 1
+        else:
+            runs[i] = found
+            i = found[0] + 1
+    return runs
+
+
+def _steps(plan, lo, hi, alive, last, reps, runs, budget):
+    """The steps over the columns lo..hi, entering with the slots `alive`.
+
+    alive names the slots of the state entering a step, in the order they
+    were appended.  A step is (table, input getter, getter of the kept
+    slots); it covers one column, a pair, or a run of `runs` (whose table
+    is built here and charges `budget`).  Only a premise or goal column
+    can be read by no later column, and only its step reads and replaces
+    the flag.
+    """
+    roles = {plan.goal_ix, *plan.premise_ix}
+    steps = []
+    i = lo
+    while i <= hi:
+        rule, srcs = plan.entries[i]
+        slot = {p: s for s, p in enumerate(alive)}
+        role = i in roles
+        # A run pays a fill per class of x and keeps the classes apart after
+        # x's last reader, where column steps would merge them; it gains only
+        # by not carrying other slots than x and the flag through the block.
+        if i in runs and len(alive) > 2:
+            j, x, x_last = runs[i]
+            inner = {c: last[c] for c in range(i, j)}
+            inner[x] = x_last
+            inner[j] = j + 1  # the run's last column survives its run
+            reads = [x]
+            table = _RunTable(_steps(plan, i, j, [x], inner, reps, {}, budget),
+                              budget)
+        elif i < hi and not role and last[i] == i + 1 and i + 1 not in roles:
+            j = i + 1
+            reader, reader_srcs = plan.entries[j]
+            positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
+            reads = list(srcs) + [s for s in reader_srcs if s != i]
+            table = reader.pair_table(rule, len(srcs), positions, reps[j])
+        else:
+            j = i
+            reads = list(srcs) + ([_FLAG] if role else [])
+            table = rule.successor_table(i in plan.premise_ix,
+                                         i == plan.goal_ix, last[i] > i, reps[i])
+        kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
+        steps.append((table, _getter([slot[p] for p in reads]),
+                      _getter([slot[p] for p in kept])))
+        alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
+        i = j + 1
+    return steps
+
+
+def _forward(steps, frontier, budget):
+    """Run `steps` from `frontier`, charging each frontier they expand to
+    `budget`: the last frontier, the frontier entering each step, and the
+    path-weighted count of cell values the restriction forbids."""
+    frontiers = []
+    pruned_paths = 0
+    for table, inputs, rest in steps:
+        budget.spend(len(frontier))
+        frontiers.append(frontier)
+        nxt = {}
+        get = nxt.get
+        for state, count in frontier.items():
+            entries, npruned = table[inputs(state)]
+            if npruned:
+                pruned_paths += npruned * count
+            head = rest(state)
+            for tail, mult, _ in entries:
+                key = head + tail
+                nxt[key] = get(key, 0) + mult * count
+        frontier = nxt
+    return frontier, frontiers, pruned_paths
+
+
 def _predecessor(step, frontier, target):
     """The first state of `frontier`, in frontier order, that `step` takes
     to `target`, and the values of the entry it takes there."""
-    table, inputs, rest, _ = step
+    table, inputs, rest = step
     for state in frontier:
         head = rest(state)
         if target[:len(head)] == head:
@@ -537,6 +711,16 @@ def _predecessor(step, frontier, target):
                 if tail == target[len(head):]:
                     return state, values
     raise AssertionError("target key has no predecessor")
+
+
+def _walk(steps, frontiers, target):
+    """The values, column by column, of the first path in frontier order
+    that `steps` take from their first frontier to `target`."""
+    parts = []
+    for step, frontier in zip(reversed(steps), reversed(frontiers)):
+        target, values = _predecessor(step, frontier, target)
+        parts.append(values)
+    return tuple(chain.from_iterable(reversed(parts)))
 
 
 def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
@@ -553,36 +737,52 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     over the readers by _meet).  Replacing a value by its class changes no
     reader's cell or restriction, so the rows of a class go on together.
 
-    Every step looks up its input slots in a table shared by every query
-    with the same logic and column kinds, filled only at the inputs reached,
-    and gets (tail, mult, values) entries: the state's kept slots plus each
-    tail make a successor, reached mult times per row.  A step is one column
-    (see _Successors), where a premise or goal column also reads the flag
-    and appends its new value; or a pair (see _PairTable): a plain column
-    whose only reader is the next column, itself plain, is summed out with
-    that reader and never gets a slot.
+    Every step looks up its input slots in a table and gets (tail, mult,
+    values) entries: the state's kept slots plus each tail make a
+    successor, reached mult times per row.  A step is one column (see
+    _Successors), where a premise or goal column also reads the flag and
+    appends its new value; or a pair (see _PairTable): a plain column whose
+    only reader is the next column, itself plain, is summed out with that
+    reader and never gets a slot.  Both tables are shared by every query
+    with the same logic and column kinds, filled only at the inputs
+    reached.  Or the step is a one-input run (see _runs, _RunTable): a
+    block of at least three plain columns that depend on one earlier
+    column x alone, read nothing else from outside, and but for the last
+    are read only inside the block, such as the tower x^1, ..., x^(n) over
+    its base.  Its table, local to the call, maps x's class to the run's
+    last column's classes, filled per class by the same steps and forward
+    loop (_forward) from the state (x's class,).  That is exact: no column
+    outside the run reads its interior, and x's slot already holds the
+    meet of all its readers' classes, the run's among them, so every value
+    of the class gives the run the same cells.  A run is taken only where
+    the state entering it holds a slot besides x and the flag, which plain
+    steps would carry through every column of the block; elsewhere it could
+    only lose the merging of x's classes after x's last reader.
 
     The frontier entering every step is kept.  The countermodel is walked
-    back from the final state (_VIOLATED,): at each step it takes the first
-    state in frontier order whose kept slots and one of whose entries' tail
-    make up the target, and that entry's values, the first in cell order
-    that give the tail, that is the first value of the tail's class.  Each
-    is a cell value at its inputs' class values, so at the values the walk
-    picked for them as well, and the countermodel is a restricted valuation.
+    back from the final state (_VIOLATED,) (_walk): at each step it takes
+    the first state in frontier order whose kept slots and one of whose
+    entries' tail make up the target, and that entry's values, the first in
+    cell order that give the tail, that is the first value of the tail's
+    class; a run's entry holds the first path in its own frontier order,
+    which is the path the column-by-column walk takes.  Each is a cell
+    value at its inputs' class values, so at the values the walk picked for
+    them as well, and the countermodel is a restricted valuation.
 
     stats reports the exact live-row count of the canonical table
     (rows_live), the rows cut by the restriction in this column order
     (rows_discarded), their sum (rows_total, as in build_table), and the
-    states of the frontiers the steps expand (work); a summed-out column
-    adds none, and the values of one class make one state.  Raises
-    ResourceLimitError when `work` would exceed `max_work`.
+    states of the frontiers the steps expand (work), a run's own frontiers
+    included once per class of x but for their first state, which the run
+    step has counted; a summed-out column adds none, and the values of one
+    class make one state.  Raises ResourceLimitError as soon as `work`
+    would exceed `max_work`.
     """
     start = time.perf_counter()
     premises = tuple(premises)
     order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
     ncols = len(order)
-    roles = {plan.goal_ix, *plan.premise_ix}
 
     # last[i] = last position whose cell reads column i; reps[i] = the class
     # map of column i, the meet of its readers' maps at the positions where
@@ -595,69 +795,19 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             classes = rule.classes(k)
             reps[src] = classes if reps[src] is None else _meet(reps[src], classes)
 
-    # alive names the slots of the state entering a step, in the order they
-    # were appended.  A step is (table, input getter, getter of the kept
-    # slots, its first column).  Only a premise or goal column can be read
-    # by no later column, and only its step reads and replaces the flag.
-    steps = []
-    alive = [_FLAG]
-    i = 0
-    while i < ncols:
-        rule, srcs = plan.entries[i]
-        slot = {p: s for s, p in enumerate(alive)}
-        role = i in roles
-        # the column the step ends at: i, or i + 1 for a pair
-        j = i + 1 if not role and last[i] == i + 1 and i + 1 not in roles else i
-        kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
-        if j > i:
-            reader, reader_srcs = plan.entries[j]
-            positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
-            reads = list(srcs) + [s for s in reader_srcs if s != i]
-            table = reader.pair_table(rule, len(srcs), positions, reps[j])
-        else:
-            reads = list(srcs) + ([_FLAG] if role else [])
-            table = rule.successor_table(i in plan.premise_ix,
-                                         i == plan.goal_ix, last[i] > i, reps[i])
-        steps.append((table, _getter([slot[p] for p in reads]),
-                      _getter([slot[p] for p in kept]), i))
-        alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
-        i = j + 1
-
-    # frontiers[k] is the frontier entering step k.
-    frontiers = []
-    frontier = {(_START,): 1}
-    work = 0
-    pruned_paths = 0
-    for table, inputs, rest, _ in steps:
-        work += len(frontier)
-        if work > max_work:
-            raise ResourceLimitError(
-                f"decision DP exceeded {max_work} state expansions")
-        frontiers.append(frontier)
-        nxt = {}
-        get = nxt.get
-        for state, count in frontier.items():
-            entries, npruned = table[inputs(state)]
-            if npruned:
-                pruned_paths += npruned * count
-            head = rest(state)
-            for tail, mult, _ in entries:
-                key = head + tail
-                nxt[key] = get(key, 0) + mult * count
-        frontier = nxt
+    budget = _Budget(max_work)
+    steps = _steps(plan, 0, ncols - 1, [_FLAG], last, reps, _runs(plan, last),
+                   budget)
+    frontier, frontiers, pruned_paths = _forward(steps, {(_START,): 1}, budget)
 
     # the last column is a premise or the goal, so a final state is (flag,)
     rows_live = sum(frontier.values())
     target = (_VIOLATED,)
     entailed = target not in frontier
-
     countermodel = None
     if not entailed:
-        assignment = {}
-        for step, frontier in zip(reversed(steps), reversed(frontiers)):
-            target, values = _predecessor(step, frontier, target)
-            assignment.update(zip(order[step[3]:], values))
-        countermodel = Valuation(logic, assignment)
+        countermodel = Valuation(
+            logic, dict(zip(order, _walk(steps, frontiers, target))))
 
     elapsed = time.perf_counter() - start
     return DecisionResult(
@@ -667,7 +817,7 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             "rows_live": rows_live,
             "rows_total": rows_live + pruned_paths,
             "rows_discarded": pruned_paths,
-            "work": work,
+            "work": budget.work,
             "elapsed": elapsed,
         },
     )

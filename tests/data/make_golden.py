@@ -48,7 +48,11 @@ DECIDE_ABOUT = (
     "next column, itself plain, is summed out inside that column's step, and "
     "each state slot holds its column's value class (the first of the values "
     "that no reader of the column can tell apart), merged classes counting "
-    "once. countermodel maps formula text to value index.")
+    "once; a one-input run (three or more plain columns that depend on one "
+    "earlier column x alone and, but the last, are read only inside the run, "
+    "entered with a slot besides x and the flag) is one step whose table is "
+    "filled per class of x by the run's own steps, which count every state "
+    "but their first. countermodel maps formula text to value index.")
 DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (

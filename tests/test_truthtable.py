@@ -1,5 +1,6 @@
 """Row-branching enumeration, decision procedure and partial-extension."""
 
+import functools
 import itertools
 import json
 import pathlib
@@ -18,8 +19,8 @@ from dacosta.algebra import (
 )
 from dacosta.errors import ExtensionError, ResourceLimitError
 from dacosta.formula import (
-    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, Neg, Var, parse, parse_logic,
-    pow, powseq, random_formula,
+    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, And, Imp, Neg, Or, Var, parse,
+    parse_logic, pow, powseq, random_formula,
 )
 from dacosta.truthtable import (
     build_table, check_valuation, decide, extend_partial, ordered_subformulas,
@@ -40,6 +41,21 @@ PSI_ROWS = [
     "t t T t F F t",
     "F T F F T F T",
 ]
+
+
+@pytest.fixture
+def run_fills(monkeypatch):
+    """The fills of one-input run tables while the test runs, one per
+    class of a run's input."""
+    fills = []
+    missing = truthtable._RunTable.__missing__
+
+    def counting(table, inputs):
+        fills.append(inputs)
+        return missing(table, inputs)
+
+    monkeypatch.setattr(truthtable._RunTable, "__missing__", counting)
+    return fills
 
 
 class TestFlagshipTable:
@@ -160,12 +176,18 @@ class TestDecide:
         with pytest.raises(ResourceLimitError):
             decide(C3, parse("(p | q) & (q | r) -> (r | p)"), max_work=5)
 
-    def test_work_cap_boundary(self):
-        goal, premises = parse("(p | q) & (q | r) -> (r | p)"), (parse("~p"),)
-        work = decide(C3, goal, premises).stats["work"]
-        assert decide(C3, goal, premises, max_work=work).stats["work"] == work
-        with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
-            decide(C3, goal, premises, max_work=work - 1)
+    def test_work_cap_boundary(self, run_fills):
+        # the second goal's tower over p is a one-input run, whose fills count
+        for goal, premises, runs in (
+                ("(p | q) & (q | r) -> (r | p)", ("~p",), False),
+                ("q -> p^(3) -> r", (), True)):
+            goal, premises = parse(goal), tuple(map(parse, premises))
+            run_fills.clear()
+            work = decide(C3, goal, premises).stats["work"]
+            assert bool(run_fills) is runs
+            assert decide(C3, goal, premises, max_work=work).stats["work"] == work
+            with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
+                decide(C3, goal, premises, max_work=work - 1)
 
     def test_countermodel_designates_premises(self):
         res = decide(C2, parse("r"), premises=(parse("p -> q"), parse("p")))
@@ -538,7 +560,7 @@ class TestHighN:
         # One instance of each C_n schema over 1-connective substituents.
         # Keeping every value, C12's P_12 alone took 4.9M states.
         work = {}
-        for lg in (C(8), C(12)):
+        for lg in (C(8), C(12), C(16)):
             rng = random.Random(5)
             work[lg.n] = 0
             for schema in axioms.schemata(lg):
@@ -547,6 +569,8 @@ class TestHighN:
                 assert res.entailed, (lg.name, f.text)
                 work[lg.n] += res.stats["work"]
         assert work[12] < 300_000
+        # 770,842 states when every tower column stood in the frontier
+        assert work[16] < 40_000
 
 
 def decide_fields(lg, goal, premises=()):
@@ -575,6 +599,13 @@ def tower_instances():
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def tower_references():
+    """(logic, instance, reference_decide fields) over tower_instances(),
+    computed once for the tests that share them."""
+    return tuple((lg, f, reference_decide(lg, f)) for lg, f in tower_instances())
+
+
 class TestPairSteps:
     """decide sums out a column read only by the next one; the column-by-
     column DP in oracle.reference_decide gives the figures it must keep."""
@@ -596,8 +627,8 @@ class TestPairSteps:
         assert summed_out > 0
 
     def test_towers_match_reference_with_less_work(self):
-        for lg, f in tower_instances():
-            got, want = decide_fields(lg, f), reference_decide(lg, f)
+        for lg, f, want in tower_references():
+            got = decide_fields(lg, f)
             assert got["work"] < want["work"], (lg.name, f.text)
             got["work"] = want["work"]
             assert got == want, (lg.name, f.text)
@@ -678,6 +709,92 @@ class TestPairSteps:
             for entry in table.values():
                 assert by_value.setdefault(entry, entry) is entry
         assert len(by_value) < sum(map(len, first.values()))
+
+
+def tower_goals(count, seed):
+    """(logic, goal, premises): towers pow(A, k) or powseq(A, k) of random
+    substituents A of 0-3 connectives over p and q, joined by &, | and ->,
+    with 0-2 premises of the same kind, in C1-C5, mbCcl and Cila.  k is at
+    most 3, and 2 in C4 and C5, where the reference's frontiers are wide."""
+    rng = random.Random(seed)
+    logics = [C1, C2, C3, C4, C(5), MBCCL, CILA]
+    joins = [And, Or, Imp]
+
+    def tower(lg):
+        sub = random_formula(rng, lg, rng.randint(0, 3), ("p", "q"))
+        height = 2 if lg.family == "C" and lg.n >= 4 else 3
+        return rng.choice((pow, powseq))(sub, rng.randint(1, height))
+
+    def joined(lg, towers):
+        f = tower(lg)
+        for _ in range(towers - 1):
+            f = rng.choice(joins)(f, tower(lg))
+        return f
+
+    out = []
+    for i in range(count):
+        lg = logics[i % len(logics)]
+        goal = joined(lg, rng.randint(1, 2))
+        premises = tuple(joined(lg, 1) for _ in range(rng.randint(0, 2)))
+        out.append((lg, goal, premises))
+    return out
+
+
+class TestOneInputRuns:
+    """decide sums out a block of columns that depend on one earlier column
+    alone, once per class of that column; the column-by-column DP in
+    oracle.reference_decide gives the figures it must keep."""
+
+    def test_towers_match_reference(self, run_fills):
+        cases = [(lg, f, (), want) for lg, f, want in tower_references()] + [
+            (lg, goal, premises, None) for lg, goal, premises in tower_goals(320, 77)]
+        formed = 0
+        for lg, goal, premises, want in cases:
+            before = len(run_fills)
+            got = decide_fields(lg, goal, premises)
+            want = want or reference_decide(lg, goal, premises)
+            formed += len(run_fills) > before
+            assert got["work"] <= want["work"], (lg.name, goal.text, premises)
+            got["work"] = want["work"]
+            assert got == want, (lg.name, goal.text, premises)
+        assert formed > len(cases) // 4
+
+    def test_countermodel_read_through_a_run(self, run_fills):
+        # p^(3) = p^1 & p^2 & p^3 is one run over p, entered with q's slot
+        # alive; q = T, r = F and p = F refute the goal, and the walk reads
+        # every tower column off the run's entry.
+        p, q, r = Var("p"), Var("q"), Var("r")
+        for lg in (C2, C3):
+            goal = Imp(q, Imp(powseq(p, 3), r))
+            got, want = decide_fields(lg, goal), reference_decide(lg, goal)
+            assert run_fills and not got["entailed"]
+            assert got == dict(want, work=got["work"])
+            assert check_valuation(lg, got["countermodel"]) == []
+            assert pow(p, 3) in got["countermodel"]
+            run_fills.clear()
+
+    def test_tower_shared_with_a_premise(self, run_fills):
+        # The premise reads ~p and ~p^1, interior columns of both levels of
+        # the tower p^(2) = p^1 & p^2, so no block of three of its columns
+        # is read only inside itself: no run forms.
+        p, q, r = Var("p"), Var("q"), Var("r")
+        goal = Imp(q, Imp(powseq(p, 2), r))
+        premises = (Or(Or(Neg(p), Neg(pow(p, 1))), r),)
+        for lg in (C1, C2, C3):
+            got = decide_fields(lg, goal, premises)
+            assert got == dict(reference_decide(lg, goal, premises), work=got["work"])
+            assert not got["entailed"]
+        assert run_fills == []
+        decide(C3, goal)
+        assert run_fills
+
+    def test_p8_work(self):
+        lg = C(8)
+        f = axioms.instantiate(axioms.schema_by_name(lg, "P_8"),
+                               {"A": Var("p"), "B": Var("q")})
+        res = decide(lg, f)
+        # 60,079 states when every tower column stood in the frontier
+        assert res.entailed and res.stats["work"] <= 6_000
 
 
 class TestDecideGolden:
