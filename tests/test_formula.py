@@ -60,6 +60,139 @@ class TestParsing:
             parse("p & (")
 
 
+# (text, logic, message, position) of malformed inputs, one or more per
+# place the parser raises ParseError.
+_TOO_LARGE = ("exponent too large: the power's text would pass "
+              f"{MAX_SUGAR_TEXT} characters")
+_TOO_LONG = f"formula too long: its text would pass {MAX_SUGAR_TEXT} characters"
+_EIGHT_POWERS = "a^17 & b^17 & c^17 & d^17 & e^17 & f^17 & g^17 & h^17"
+PARSE_ERRORS = [
+    # a character no token starts with; it is reported before any other error
+    ("p $ q", None, "unexpected character '$'", 2),
+    ("$", None, "unexpected character '$'", 0),
+    ("p & ) $", None, "unexpected character '$'", 6),
+    ("p -", None, "unexpected character '-'", 2),
+    ("p - > q", None, "unexpected character '-'", 2),
+    ("p^-1", None, "unexpected character '-'", 2),
+    ("_p", None, "unexpected character '_'", 0),
+    ("\u00e9", None, "unexpected character '\u00e9'", 0),
+    ("p \u2283 q", None, "unexpected character '\u2283'", 2),
+    ("p^\u00b2", None, "unexpected character '\u00b2'", 2),
+    ("@ $", C(1), "unexpected character '$'", 2),
+    ("~" * 3000 + "$", None, "unexpected character '$'", 3000),
+    ("a^17 & b^17 #", None, "unexpected character '#'", 12),
+    # a formula expected, or the input ended
+    ("", None, "unexpected end of input", 0),
+    ("   ", None, "unexpected end of input", 3),
+    ("p &", None, "unexpected end of input", 3),
+    ("p & (", None, "unexpected end of input", 5),
+    ("p -> ", None, "unexpected end of input", 5),
+    ("~", None, "unexpected end of input", 1),
+    ("@", None, "unexpected end of input", 1),
+    ("(", None, "unexpected end of input", 1),
+    ("-> p", None, "expected a formula, found '->'", 0),
+    ("& p", None, "expected a formula, found '&'", 0),
+    (")", None, "expected a formula, found ')'", 0),
+    ("()", None, "expected a formula, found ')'", 1),
+    ("^2", None, "expected a formula, found '^'", 0),
+    ("3", None, "expected a formula, found '3'", 0),
+    ("~ )", None, "expected a formula, found ')'", 2),
+    ("~3", None, "expected a formula, found '3'", 1),
+    ("p & & q", None, "expected a formula, found '&'", 4),
+    ("p | -> q", None, "expected a formula, found '->'", 4),
+    ("(p &)", None, "expected a formula, found ')'", 4),
+    # a ')' expected
+    ("(p", None, "expected ')'", 2),
+    ("((p & q)", None, "expected ')'", 8),
+    ("(p -> (q", None, "expected ')'", 8),
+    ("(p q", None, "expected ')', found 'q'", 3),
+    ("(p ~q)", None, "expected ')', found '~'", 3),
+    ("(p 2)", None, "expected ')', found '2'", 3),
+    ("((p) (q))", None, "expected ')', found '('", 5),
+    # a token after a whole formula
+    ("p q", None, "unexpected 'q' after formula", 2),
+    ("  p q", None, "unexpected 'q' after formula", 4),
+    ("p\u00a0q", None, "unexpected 'q' after formula", 2),
+    ("p)", None, "unexpected ')' after formula", 1),
+    ("p & q r", None, "unexpected 'r' after formula", 6),
+    ("p -> q r", None, "unexpected 'r' after formula", 7),
+    ("p 3", None, "unexpected '3' after formula", 2),
+    ("p ~q", None, "unexpected '~' after formula", 2),
+    ("p (q)", None, "unexpected '(' after formula", 2),
+    ("(p) q", None, "unexpected 'q' after formula", 4),
+    ("p @", None, "unexpected '@' after formula", 2),
+    ("p -> q)", None, "unexpected ')' after formula", 6),
+    ("p^2 3", None, "unexpected '3' after formula", 4),
+    # ^ without an integer
+    ("p ^ x", None, "expected integer after '^'", 4),
+    ("p^", None, "expected integer after '^'", 2),
+    ("p^(", None, "expected integer after '^'", 2),
+    ("p^(2", None, "expected integer after '^'", 2),
+    ("p^()", None, "expected integer after '^'", 2),
+    ("p^(x)", None, "expected integer after '^'", 2),
+    ("p^ ~", None, "expected integer after '^'", 3),
+    ("p^2^", None, "expected integer after '^'", 4),
+    ("(p^(2) ^", None, "expected integer after '^'", 8),
+    # exponent too large, at the '^'
+    ("p^18", None, _TOO_LARGE, 1),
+    ("p^(17)", None, _TOO_LARGE, 1),
+    ("(p^10)^10", None, _TOO_LARGE, 6),
+    ("q & (p & q)^17", None, _TOO_LARGE, 11),
+    ("~p^99", None, _TOO_LARGE, 2),
+    ("p -> q^100", None, _TOO_LARGE, 6),
+    ("a^17 -> b^17 -> c^18", None, _TOO_LARGE, 17),
+    # formula too long, at the connective whose node would pass the bound
+    (_EIGHT_POWERS, None, _TOO_LONG, 5),
+    ("~~~~~~~~p^17", None, _TOO_LONG, 0),
+    ("@@@@@@@@p^17", None, _TOO_LONG, 0),
+    ("p^17 | qqqqq", None, _TOO_LONG, 5),
+    ("qqqq -> p^17", None, _TOO_LONG, 5),
+    ("(p^17) -> q | p^17", None, _TOO_LONG, 7),
+    ("a^17 & b^17 q", None, _TOO_LONG, 5),
+    ("a^17 & b^17 & )", None, _TOO_LONG, 5),
+    ("(a^17 | b^17", None, _TOO_LONG, 6),
+    ("qqqq -> p^17 -> r", None, _TOO_LONG, 5),
+    ("a^17 & b^17 & @p", C(1), _TOO_LONG, 5),
+    # @ outside the signature, at the @
+    ("@p", C(1), "consistency connective not in signature of C1", 0),
+    ("@", C(1), "consistency connective not in signature of C1", 0),
+    ("q & @p", C(2), "consistency connective not in signature of C2", 4),
+    ("~(p | @q)", C(4), "consistency connective not in signature of C4", 6),
+    ("q -> \u2218p", C(3), "consistency connective not in signature of C3", 5),
+    ("\u00b0p", C(1), "consistency connective not in signature of C1", 0),
+    # Unicode spellings
+    ("p \u2227", None, "unexpected end of input", 3),
+    ("\u00ac", None, "unexpected end of input", 1),
+    ("p \u2192 \u2192 q", None, "expected a formula, found '\u2192'", 4),
+    ("\u2218 \u2228 p", None, "expected a formula, found '\u2228'", 2),
+    ("p \u2228 \u2227 q", None, "expected a formula, found '\u2227'", 4),
+    ("p \u2228 q)", None, "unexpected ')' after formula", 5),
+    ("p\u2192q r", None, "unexpected 'r' after formula", 4),
+    ("\u00ac\u00acp \u2227 \u2218q \u2192 r )", None,
+     "unexpected ')' after formula", 13),
+    ("(p \u2227 q", None, "expected ')'", 6),
+    ("p \u0663", None, "unexpected '\u0663' after formula", 2),
+    ("p^\u0663\u0663\u0663", None, _TOO_LARGE, 1),
+    # nesting past the parser's limit, at position 0
+    ("~" * 3000 + "p", None, "formula nested too deeply", 0),
+    ("  " + "(" * 3000 + "p" + ")" * 3000, None, "formula nested too deeply", 0),
+]
+
+
+def test_parse_error_table():
+    wrong = []
+    for text, logic, message, position in PARSE_ERRORS:
+        try:
+            parse(text, logic)
+        except ParseError as err:
+            got = (str(err), err.position)
+        else:
+            got = "parsed"
+        if got != (f"{message} (at position {position})", position):
+            wrong.append((text[:40], got))
+    assert not wrong
+
+
 class TestSugar:
     def test_pow(self):
         assert pow(p, 0) == p
