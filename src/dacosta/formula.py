@@ -26,6 +26,7 @@ would pass MAX_SUGAR_TEXT characters, before building it.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -299,34 +300,19 @@ def ordered_subformulas(goal, premises=()):
 # --------------------------------------------------------------------------
 # Parser
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<atom>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<num>\d+)
-  | (?P<imp>->|→)
-  | (?P<neg>~|¬)
-  | (?P<cons>@|∘|°)
-  | (?P<and>&|∧)
-  | (?P<or>\||∨)
-  | (?P<lp>\()
-  | (?P<rp>\))
-  | (?P<pow>\^)
-""", re.VERBOSE)
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+# One scan takes every token: an atom, a number, "->", or any other single
+# character other than whitespace, which is a connective, a parenthesis, "^",
+# or a character no token starts with.
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|->|\S")
+_LP, _RP, _POW = 6, 7, 8
+_KINDS = {"~": NEG, "¬": NEG, "@": CONS, "∘": CONS, "°": CONS,
+          "&": AND, "∧": AND, "|": OR, "∨": OR, "->": IMP, "→": IMP,
+          "(": _LP, ")": _RP, "^": _POW}
+_LETTERS = frozenset(string.ascii_letters)
+# A binary connective first reduces the pending operators whose kind is at
+# most this: ~ and @ (kinds 1 and 2) bind tighter than &, & than |, and
+# | than ->; & and | associate left, -> right.  ( is never reduced by it.
+_REDUCES = {AND: AND, OR: OR, IMP: OR}
 
 
 # The longest text that one ^k or ^(k), or one connective node, may
@@ -334,6 +320,17 @@ def _tokenize(text):
 # copies its arguments' texts, so without a bound a few characters of input
 # could ask for gigabytes.
 MAX_SUGAR_TEXT = 1 << 20
+
+# The most operators the parser holds pending at once: prefix ~ and @, open
+# parentheses, and the connectives still waiting for their right argument,
+# such as every -> of a right-nested chain.  Left-nested & and | chains are
+# reduced as they are read and never count more than one.
+MAX_NESTING = 1000
+
+
+class _Unparsed(Exception):
+    """Syntax error at token args[1]; parse() turns it into a ParseError at
+    that token's character position."""
 
 
 def _text_length(kind, left, right=None):
@@ -357,9 +354,9 @@ def _pow_text_lengths(f):
         size = 2 * size + 7
 
 
-def _sugar_exponent(f, digits, seq, pos):
-    """k of f^k, or of f^(k) when `seq`; ParseError at `pos` when the text
-    of the result would be longer than MAX_SUGAR_TEXT characters."""
+def _sugar_exponent(f, digits, seq, at):
+    """k of f^k, or of f^(k) when `seq`; _Unparsed at token `at`, the ^,
+    when the text of the result would be longer than MAX_SUGAR_TEXT."""
     # f^100 and up is past the limit for every f, so a longer digit string
     # is never converted to an int.
     significant = digits.lstrip("0") or "0"
@@ -371,126 +368,117 @@ def _sugar_exponent(f, digits, seq, pos):
         # f^(k) = f^1 & ... & f^k: the powers plus k - 1 separators " & "
         size = power + (size + 3 if seq and i else 0)
         if size > MAX_SUGAR_TEXT:
-            raise ParseError("exponent too large: the power's text would pass "
-                             f"{MAX_SUGAR_TEXT} characters", pos)
+            raise _Unparsed("exponent too large: the power's text would pass "
+                            f"{MAX_SUGAR_TEXT} characters", at)
 
 
-class _Parser:
-    def __init__(self, text, logic):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.logic = logic
+def _parse_tokens(tokens, logic):
+    """The formula of `tokens`, which end with "" for the end of input.
 
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind, what):
-        t = self.next()
-        if t[0] != kind:
-            raise ParseError(f"expected {what}, found {t[1]!r}" if t[1] else f"expected {what}", t[2])
-        return t
-
-    def node(self, kind, left, right, pos):
-        """The node (kind, left, right); ParseError at `pos`, the place of
-        its connective, when its text would pass MAX_SUGAR_TEXT characters."""
-        # parentheses and the connective add at most 8 characters, so the
-        # exact length is needed only near the limit
-        size = len(left.text) + (0 if right is None else len(right.text))
-        if (size + 8 > MAX_SUGAR_TEXT
-                and _text_length(kind, left, right) > MAX_SUGAR_TEXT):
-            raise ParseError("formula too long: its text would pass "
-                             f"{MAX_SUGAR_TEXT} characters", pos)
-        return _make(kind, None, left, right)
-
-    def parse(self):
-        f = self.imp()
-        t = self.peek()
-        if t[0] != "end":
-            raise ParseError(f"unexpected {t[1]!r} after formula", t[2])
-        return f
-
-    def imp(self):
-        left = self.disj()
-        if self.peek()[0] == "imp":
-            pos = self.next()[2]
-            return self.node(IMP, left, self.imp(), pos)
-        return left
-
-    def disj(self):
-        f = self.conj()
-        while self.peek()[0] == "or":
-            pos = self.next()[2]
-            f = self.node(OR, f, self.conj(), pos)
-        return f
-
-    def conj(self):
-        f = self.unary()
-        while self.peek()[0] == "and":
-            pos = self.next()[2]
-            f = self.node(AND, f, self.unary(), pos)
-        return f
-
-    def unary(self):
-        t = self.peek()
-        if t[0] == "neg":
-            self.next()
-            return self.node(NEG, self.unary(), None, t[2])
-        if t[0] == "cons":
-            self.next()
-            if self.logic is not None and not self.logic.has_circ:
-                raise ParseError(
-                    f"consistency connective not in signature of {self.logic.name}", t[2])
-            return self.node(CONS, self.unary(), None, t[2])
-        return self.postfix()
-
-    def postfix(self):
-        f = self.primary()
-        while self.peek()[0] == "pow":
-            pos = self.next()[2]
-            f = self.apply_pow(f, pos)
-        return f
-
-    def apply_pow(self, f, pos):
-        # f^3 is pow, f^(3) is powseq.
-        t = self.peek()
-        if t[0] == "num":
-            self.next()
-            return pow(f, _sugar_exponent(f, t[1], False, pos))
-        if (t[0] == "lp" and self.tokens[self.i + 1][0] == "num"
-                and self.tokens[self.i + 2][0] == "rp"):
-            self.next()
-            digits = self.next()[1]
-            self.next()
-            return powseq(f, _sugar_exponent(f, digits, True, pos))
-        raise ParseError("expected integer after '^'", t[2])
-
-    def primary(self):
-        t = self.next()
-        if t[0] == "atom":
-            return Var(t[1])
-        if t[0] == "lp":
-            f = self.imp()
-            self.expect("rp", "')'")
-            return f
-        raise ParseError(f"expected a formula, found {t[1]!r}" if t[1] else "unexpected end of input", t[2])
+    One loop with an explicit stack of pending operators, each a (kind,
+    token index) pair, and of the left arguments of the pending binary
+    ones; `f` is the formula read last.
+    """
+    no_circ = logic is not None and not logic.has_circ
+    ops = []
+    lefts = []
+    i = 0
+    while True:
+        # A formula: prefix ~ and @ and open parentheses, then an atom.
+        tok = tokens[i]
+        kind = _KINDS.get(tok)
+        while kind == NEG or kind == CONS or kind == _LP:
+            if kind == CONS and no_circ:
+                raise _Unparsed("consistency connective not in signature of "
+                                f"{logic.name}", i)
+            ops.append((kind, i))
+            if len(ops) > MAX_NESTING:
+                raise _Unparsed("formula nested too deeply", None)
+            i += 1
+            tok = tokens[i]
+            kind = _KINDS.get(tok)
+        if kind is not None or tok[:1] not in _LETTERS:
+            raise _Unparsed(f"expected a formula, found {tok!r}" if tok
+                            else "unexpected end of input", i)
+        f = _make(VAR, tok, None, None)
+        i += 1
+        # After it: powers, closing parentheses, then a binary connective
+        # or the end.
+        while True:
+            tok = tokens[i]
+            kind = _KINDS.get(tok)
+            if kind == _POW:
+                # f^3 is pow, f^(3) is powseq.
+                digits = tokens[i + 1]
+                if digits[:1].isdecimal():
+                    f = pow(f, _sugar_exponent(f, digits, False, i))
+                    i += 2
+                elif (digits == "(" and tokens[i + 2][:1].isdecimal()
+                        and tokens[i + 3] == ")"):
+                    f = powseq(f, _sugar_exponent(f, tokens[i + 2], True, i))
+                    i += 4
+                else:
+                    raise _Unparsed("expected integer after '^'", i + 1)
+                continue
+            # Reduce the pending operators that bind tighter than this
+            # token; anything but a binary connective ends a parenthesis.
+            limit = _REDUCES.get(kind, IMP)
+            while ops and ops[-1][0] <= limit:
+                op, at = ops.pop()
+                if op <= CONS:
+                    left, right = f, None
+                    size = len(f.text)
+                else:
+                    left, right = lefts.pop(), f
+                    size = len(left.text) + len(f.text)
+                # parentheses and the connective add at most 8 characters,
+                # so the exact length is needed only near the limit
+                if (size + 8 > MAX_SUGAR_TEXT
+                        and _text_length(op, left, right) > MAX_SUGAR_TEXT):
+                    raise _Unparsed("formula too long: its text would pass "
+                                    f"{MAX_SUGAR_TEXT} characters", at)
+                f = _make(op, None, left, right)
+            if limit != IMP:
+                break
+            if ops:
+                if kind != _RP:
+                    raise _Unparsed(f"expected ')', found {tok!r}" if tok
+                                    else "expected ')'", i)
+                ops.pop()
+            elif tok:
+                raise _Unparsed(f"unexpected {tok!r} after formula", i)
+            else:
+                return f
+            i += 1
+        lefts.append(f)
+        ops.append((kind, i))
+        if len(ops) > MAX_NESTING:
+            raise _Unparsed("formula nested too deeply", None)
+        i += 1
 
 
 def parse(text, logic=None):
     """Parse a formula.  When `logic` is a C_n, the @ connective is rejected.
 
-    Nesting deeper than the interpreter's recursion limit raises ParseError
-    at position 0.
+    Every error is a ParseError at the offending character.  A formula
+    that holds more than MAX_NESTING (1,000) operators pending at once, such
+    as 1,001 nested ~, @ or parentheses or a chain of 1,001 right-nested ->,
+    raises "formula nested too deeply" at position 0, whatever the caller's
+    recursion limit.
     """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     try:
-        return _Parser(text, logic).parse()
-    except RecursionError:
-        raise ParseError("formula nested too deeply", 0) from None
+        return _parse_tokens(tokens, logic)
+    except _Unparsed as err:
+        message, at = err.args
+    # Only an error needs positions.  A character no token starts with is
+    # reported first, wherever it is.
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    for tok, start in zip(tokens[:-1], starts):
+        if tok not in _KINDS and tok[0] not in _LETTERS and not tok.isdecimal():
+            raise ParseError(f"unexpected character {tok!r}", start)
+    raise ParseError(message, 0 if at is None else starts[at])
 
 
 # --------------------------------------------------------------------------

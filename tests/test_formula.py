@@ -10,7 +10,8 @@ from conftest import ALL_LOGICS, subformula_set
 
 from dacosta import formula
 from dacosta.formula import (
-    And, C, CILA, Cons, Imp, MAX_SUGAR_TEXT, MBCCL, Neg, Or, ParseError, Var,
+    And, C, CILA, Cons, Imp, MAX_NESTING, MAX_SUGAR_TEXT, MBCCL, Neg, Or,
+    ParseError, Var,
     complexity, contradiction_base, is_pow1, ordered_subformulas, parse,
     parse_logic, postorder, pow, pow_decompose, powseq, random_formula,
     strong_neg,
@@ -360,6 +361,91 @@ class TestRendering:
         f = random_formula(rng, CILA, connectives=7, atoms=("p", "q"))
         assert parse(f.text) == f
         assert parse(f.text).text == f.text
+
+
+
+# Every spelling the parser accepts for each connective.
+_SPELLINGS = {Neg: ("~", "\u00ac"), Cons: ("@", "\u2218", "\u00b0"),
+              And: ("&", "\u2227"), Or: ("|", "\u2228"), Imp: ("->", "\u2192")}
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0", "\u3000"])
+
+
+@st.composite
+def _spelled(draw, logic, children):
+    """(formula, text): a connective over `children`, in a random spelling
+    of its text with parentheses around every argument."""
+    make = draw(st.sampled_from([Neg, Cons, And, Or, Imp] if logic.has_circ
+                                else [Neg, And, Or, Imp]))
+    sym = draw(st.sampled_from(_SPELLINGS[make]))
+    f, text = draw(children)
+    if make in (Neg, Cons):
+        return make(f), sym + draw(_SPACE) + "(" + text + ")"
+    g, right = draw(children)
+    return make(f, g), "(" + text + ")" + draw(_SPACE) + sym + draw(_SPACE) + "(" + right + ")"
+
+
+@st.composite
+def _decorated(draw, pair):
+    """`pair` with random whitespace around it, redundant parentheses and
+    ^k or ^(k) sugar, and the formula it then denotes."""
+    f, text = draw(pair)
+    sugar = draw(st.sampled_from([None, pow, powseq]))
+    if sugar is not None:
+        k = draw(st.integers(0, 2))
+        f = sugar(f, k)
+        text = f"({text})^{k}" if sugar is pow else f"({text})^({k})"
+    for _ in range(draw(st.integers(0, 2))):
+        text = "(" + draw(_SPACE) + text + draw(_SPACE) + ")"
+    return f, draw(_SPACE) + text + draw(_SPACE)
+
+
+def _formulas(logic):
+    atoms = _decorated(st.sampled_from(["p", "q", "r"]).map(lambda a: (Var(a), a)))
+    return st.recursive(atoms, lambda children: _decorated(_spelled(logic, children)),
+                        max_leaves=6)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("lg", [C(1), C(2), C(3), C(4), MBCCL, CILA],
+                             ids=lambda lg: lg.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_spellings_parse_to_the_interned_formula(self, lg, data):
+        f, text = data.draw(_formulas(lg))
+        assert parse(f.text, lg) is f
+        assert parse(text, lg) is f
+
+
+class TestNestingLimit:
+    """The parser holds at most MAX_NESTING operators pending, whatever the
+    interpreter's recursion limit."""
+
+    SHAPES = {"negations": lambda n: "~" * n + "p",
+              "consistency": lambda n: "@" * n + "p",
+              "parentheses": lambda n: "(" * n + "p" + ")" * n,
+              "implications": lambda n: "p -> " * n + "p"}
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_limit_does_not_depend_on_the_stack(self, shape):
+        spell = self.SHAPES[shape]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            fits = [parse(spell(n)) for n in (999, MAX_NESTING)]
+            with pytest.raises(ParseError) as info:
+                parse(spell(MAX_NESTING + 1))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert str(info.value) == "formula nested too deeply (at position 0)"
+        assert info.value.position == 0
+        depth = {"negations": 1, "consistency": 2, "parentheses": 0,
+                 "implications": 1}[shape]
+        assert [f.complexity for f in fits] == [depth * 999, depth * MAX_NESTING]
+
+    def test_left_nested_chains_are_unbounded(self):
+        chain = " & ".join(["p"] * 5000) + " | q" * 5000
+        f = parse(chain)
+        assert f.complexity == 9999 and f.kind == formula.OR
 
 
 class TestOrderedSubformulas:
