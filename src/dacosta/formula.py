@@ -200,6 +200,16 @@ def parse_logic(name):
                      "mbCcl or Cila")
 
 
+def check_signature(logic, *formulas):
+    """Raise ValueError when a formula uses @ and `logic` is a C_n, whose
+    signature lacks it.  Both decision procedures check their input here."""
+    # A @ node always shows in the text; an atom's name may hold one too.
+    if (not logic.has_circ and any("@" in f.text for f in formulas)
+            and any(g.kind == CONS for g in postorder(*formulas))):
+        raise ValueError(
+            f"consistency connective not in signature of {logic.name}")
+
+
 # --------------------------------------------------------------------------
 # Abbreviations
 

@@ -115,7 +115,8 @@ from itertools import product
 
 from . import algebra
 from .errors import ResourceLimitError
-from .formula import VAR, NEG, CONS, AND, OR, IMP, Imp, Logic, postorder, pow
+from .formula import (VAR, NEG, CONS, AND, OR, IMP, Imp, Logic, check_signature,
+                      postorder, pow)
 from .truthtable import extend_partial
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -809,8 +810,10 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     branch provides `countermodel`, extended when it is first read.  With
     stop_on_open (default) expansion stops at the first open complete
     branch; pass False to complete the whole tableau (CLI dumps,
-    invariants).  Raises ResourceLimitError past max_nodes
-    insertions (default 1,000,000; the CLI reads DACOSTA_MAX_NODES).
+    invariants).  Raises ValueError before any search when a formula uses
+    @ in a C_n (`formula.check_signature`, as `decide` does), and
+    ResourceLimitError past max_nodes insertions (default 1,000,000; the
+    CLI reads DACOSTA_MAX_NODES).
 
     The two modes run one search loop over label sets.  With build_tree=False
     (bulk mode, as the command line runs it) a branch holds one label set
@@ -838,6 +841,7 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     build_tree=False unless the tree or the closed branches are wanted.
     """
     premises = tuple(premises)
+    check_signature(logic, goal, *premises)
     root_formula = fold_premises(goal, premises)
     family, n = logic.family, logic.n
     full = (1 << (n + 2)) - 1

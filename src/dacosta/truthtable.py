@@ -68,7 +68,7 @@ from operator import itemgetter
 from . import algebra
 from .errors import ExtensionError, ResourceLimitError
 from .formula import (VAR, NEG, CONS, AND, OR, IMP, canonical_key,
-                      ordered_subformulas, postorder)
+                      check_signature, ordered_subformulas, postorder)
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
@@ -242,15 +242,13 @@ class _Plan:
         self.logic = logic
         self.columns = columns
         self.index = {f: j for j, f in enumerate(columns)}
+        check_signature(logic, *columns)
         rules = _cell_rules(logic)
         entries = []
         for f in columns:
             if f.kind == VAR:
                 srcs = []
             elif f.kind in (NEG, CONS):
-                if f.kind == CONS and not logic.has_circ:
-                    raise ValueError(
-                        f"consistency connective not in signature of {logic.name}")
                 srcs = [self.index[f.left]]
             else:
                 srcs = [self.index[f.left], self.index[f.right]]

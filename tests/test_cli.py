@@ -383,6 +383,19 @@ class TestInternalError:
         assert err.splitlines()[1].startswith("error\tp | (q\t")
 
 
+
+class TestSignatureOfLibraryGoals:
+    """A library caller may hand cli.run a goal with @ in a C_n, which the
+    command line's parser refuses: every method is a usage error, exit 2."""
+
+    @pytest.mark.parametrize("method", ["table", "tableau", "both"])
+    def test_usage_error(self, method):
+        config = cli.RunConfig(logic=C(1), goal=parse("@p -> p"), method=method)
+        with pytest.raises(ValueError) as info:
+            cli.run(config, out=io.StringIO(), err=io.StringIO())
+        assert str(info.value) == "consistency connective not in signature of C1"
+        assert cli._exit_code(info.value) == 2
+
 class TestStdinBatch:
     def test_one_verdict_per_line(self, capsys, monkeypatch):
         monkeypatch.setattr(

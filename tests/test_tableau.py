@@ -525,6 +525,19 @@ class TestSearch:
         assert derived.tableau.stats["derived_rule_hits"] >= 1
         assert derived.tableau.stats["nodes"] < basic.tableau.stats["nodes"]
 
+    @pytest.mark.parametrize("build_tree", [False, True], ids=["bulk", "tree"])
+    def test_consistency_outside_signature(self, build_tree):
+        # @ is not in C_n's signature: the same ValueError as decide's,
+        # before any search
+        for lg, goal, premises in ((C(1), Cons(P), ()),
+                                   (C(3), P, (Q, Neg(Cons(Q)))),
+                                   (C(2), parse("@p -> p"), ())):
+            with pytest.raises(ValueError, match="^consistency connective not "
+                               f"in signature of {lg.name}$"):
+                prove(lg, goal, premises, build_tree=build_tree)
+        # an atom may carry @ in its name
+        assert prove(C(1), Imp(Var("a@b"), Var("a@b")), build_tree=build_tree).proved
+
     def test_divergent_branch_does_not_decide(self):
         res = prove(C(1), parse("p -> p & ~p"), stop_on_open=False)
         assert not res.proved

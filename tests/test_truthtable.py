@@ -19,7 +19,7 @@ from dacosta.algebra import (
 )
 from dacosta.errors import ExtensionError, ResourceLimitError
 from dacosta.formula import (
-    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, And, Imp, Neg, Or, Var, parse,
+    AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, And, Cons, Imp, Neg, Or, Var, parse,
     parse_logic, pow, powseq, random_formula,
 )
 from dacosta.truthtable import (
@@ -188,6 +188,18 @@ class TestDecide:
             assert decide(C3, goal, premises, max_work=work).stats["work"] == work
             with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
                 decide(C3, goal, premises, max_work=work - 1)
+
+    def test_consistency_outside_signature(self):
+        p, q = Var("p"), Var("q")
+        for lg, goal, premises in ((C1, Cons(p), ()), (C3, p, (q, Neg(Cons(q)))),
+                                   (C2, parse("@p -> p"), ())):
+            with pytest.raises(ValueError, match="^consistency connective not "
+                               f"in signature of {lg.name}$"):
+                decide(lg, goal, premises)
+            with pytest.raises(ValueError, match="not in signature"):
+                build_table(lg, goal, premises)
+        # an atom may carry @ in its name
+        assert decide(C1, Imp(Var("a@b"), Var("a@b"))).entailed
 
     def test_countermodel_designates_premises(self):
         res = decide(C2, parse("r"), premises=(parse("p -> q"), parse("p")))
