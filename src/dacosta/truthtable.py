@@ -574,8 +574,10 @@ def _meet(a, b):
     return tuple(first.setdefault(pair, u) for u, pair in enumerate(zip(a, b)))
 
 
+@lru_cache(maxsize=1024)
 def _getter(slots):
-    """Callable returning the tuple of a state's values at `slots`."""
+    """Callable returning the tuple of a state's values at the positions
+    `slots`, a tuple; the few distinct tuples keep one getter each."""
     if len(slots) > 1:
         return itemgetter(*slots)
     # a one-index itemgetter returns the bare item, a slice stays a tuple
@@ -632,18 +634,18 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
     """The steps over the columns lo..hi, entering with the slots `alive`.
 
     alive names the slots of the state entering a step, in the order they
-    were appended.  A step is (table, input getter, getter of the kept
-    slots); it covers one column, a pair, or a run of `runs` (whose table
-    is built here and charges `budget`).  Only a premise or goal column
-    can be read by no later column, and only its step reads and replaces
-    the flag.
+    were appended, so a slot's position in the state is its index there.
+    A step is (table, input getter, getter of the kept slots), the getters
+    made from position tuples; it covers one column, a pair, or a run of
+    `runs` (whose table is built here and charges `budget`).  Only a
+    premise or goal column can be read by no later column, and only its
+    step reads and replaces the flag.
     """
     roles = {plan.goal_ix, *plan.premise_ix}
     steps = []
     i = lo
     while i <= hi:
         rule, srcs = plan.entries[i]
-        slot = {p: s for s, p in enumerate(alive)}
         role = i in roles
         # A run pays a fill per class of x and keeps the classes apart after
         # x's last reader, where column steps would merge them; it gains only
@@ -668,8 +670,9 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
             table = rule.successor_table(i in plan.premise_ix,
                                          i == plan.goal_ix, last[i] > i, reps[i])
         kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
-        steps.append((table, _getter([slot[p] for p in reads]),
-                      _getter([slot[p] for p in kept])))
+        slot = alive.index
+        steps.append((table, _getter(tuple(map(slot, reads))),
+                      _getter(tuple(map(slot, kept)))))
         alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
         i = j + 1
     return steps

@@ -201,6 +201,11 @@ class TestDecide:
         # an atom may carry @ in its name
         assert decide(C1, Imp(Var("a@b"), Var("a@b"))).entailed
 
+    def test_step_getters_are_bounded(self):
+        # the getters are shared across queries, so a long batch must not
+        # grow their cache
+        assert truthtable._getter.cache_info().maxsize is not None
+
     def test_countermodel_designates_premises(self):
         res = decide(C2, parse("r"), premises=(parse("p -> q"), parse("p")))
         assert not res.entailed
