@@ -242,13 +242,14 @@ class _Plan:
         self.logic = logic
         self.columns = columns
         self.index = {f: j for j, f in enumerate(columns)}
-        check_signature(logic, *columns)
         rules = _cell_rules(logic)
         entries = []
         for f in columns:
             if f.kind == VAR:
                 srcs = []
             elif f.kind in (NEG, CONS):
+                if f.kind == CONS:
+                    check_signature(logic, f)
                 srcs = [self.index[f.left]]
             else:
                 srcs = [self.index[f.left], self.index[f.right]]
