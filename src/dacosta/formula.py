@@ -26,7 +26,6 @@ would pass MAX_SUGAR_TEXT characters, before building it.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -318,7 +317,7 @@ _LP, _RP, _POW = 6, 7, 8
 _KINDS = {"~": NEG, "¬": NEG, "@": CONS, "∘": CONS, "°": CONS,
           "&": AND, "∧": AND, "|": OR, "∨": OR, "->": IMP, "→": IMP,
           "(": _LP, ")": _RP, "^": _POW}
-_LETTERS = frozenset(string.ascii_letters)
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 # A binary connective first reduces the pending operators whose kind is at
 # most this: ~ and @ (kinds 1 and 2) bind tighter than &, & than |, and
 # | than ->; & and | associate left, -> right.  ( is never reduced by it.
@@ -340,7 +339,7 @@ MAX_NESTING = 1000
 
 class _Unparsed(Exception):
     """Syntax error at token args[1]; parse() turns it into a ParseError at
-    that token's character position."""
+    that token's character position (position 0 when args[1] is None)."""
 
 
 def _text_length(kind, left, right=None):
