@@ -170,6 +170,42 @@ def _countermodel_json(valuation):
     return {f.text: names[v] for f, v in pairs}
 
 
+def _json_text(doc):
+    """json.dumps(doc, indent=2) for dicts with string keys, lists and JSON
+    scalars, walked with an explicit stack so that any depth dumps."""
+    parts = []
+    # (iterator of (key, value) pairs, key None in a list; closing bracket)
+    stack = [(iter([(None, doc)]), "")]
+    first = True
+    while stack:
+        items, close = stack[-1]
+        depth = len(stack) - 1
+        item = next(items, None)
+        if item is None:
+            stack.pop()
+            if close:
+                parts.append("\n" + "  " * (depth - 1) + close)
+            first = False
+            continue
+        key, value = item
+        if depth:
+            parts.append(("\n" if first else ",\n") + "  " * depth)
+        if key is not None:
+            parts.append(json.dumps(key) + ": ")
+        first = False
+        if value and isinstance(value, dict):
+            parts.append("{")
+            stack.append((iter(value.items()), "}"))
+            first = True
+        elif value and isinstance(value, (list, tuple)):
+            parts.append("[")
+            stack.append((((None, v) for v in value), "]"))
+            first = True
+        else:
+            parts.append(json.dumps(value))
+    return "".join(parts)
+
+
 def _emit_files(config, ans):
     """Write the --emit-table and --emit-tableau files."""
     if config.emit_table is not None:
@@ -182,11 +218,8 @@ def _emit_files(config, ans):
             fh.write(text + "\n")
     if config.emit_tableau is not None:
         tree = ans.tableau_result.tableau
-        try:
-            text = json.dumps(tableau.tableau_to_json(tree), indent=2) \
-                if config.format == "json" else tableau.tableau_to_text(tree)
-        except RecursionError:
-            raise DacostaError("tableau too deep for a JSON dump; use --format text") from None
+        text = _json_text(tableau.tableau_to_json(tree)) \
+            if config.format == "json" else tableau.tableau_to_text(tree)
         with open(config.emit_tableau, "w") as fh:
             fh.write(text + "\n")
 

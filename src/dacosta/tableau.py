@@ -1211,19 +1211,20 @@ def tableau_to_text(tableau):
 
 
 def tableau_to_json(tableau):
+    """The tableau as a JSON-ready dict: its logic, stats and root node, each
+    node a dict of its label, formula, rule, status and children.  The walk
+    keeps an explicit stack, so deep trees need no recursion."""
     names = algebra.value_names(tableau.logic)
-
-    def walk(node):
-        return {
-            "label": names[node.label],
-            "formula": node.formula.text,
-            "rule": node.rule,
-            "status": node.status or None,
-            "children": [walk(c) for c in node.children],
-        }
-
+    root = None if tableau.root is None else {}
+    stack = [] if root is None else [(tableau.root, root)]
+    while stack:
+        node, doc = stack.pop()
+        children = [{} for _ in node.children]
+        doc.update(label=names[node.label], formula=node.formula.text,
+                   rule=node.rule, status=node.status or None, children=children)
+        stack.extend(zip(node.children, children))
     return {
         "logic": tableau.logic.name,
         "stats": dict(tableau.stats),
-        "root": walk(tableau.root) if tableau.root is not None else None,
+        "root": root,
     }

@@ -39,14 +39,19 @@ Two engines share this semantics:
                columns that depend on one earlier column x alone and, but
                for the last, are read only inside the block (the tower
                x^1 ... x^(n) over its base), is summed out in one step too:
-               its table, local to the call, is filled once per class of x
-               by the same steps and forward loop over the block alone.
-               That is sound because no other column reads the block's
-               interior, and x's slot already holds the meet of all its
-               readers' classes, the block's among them, so every value of
-               the class gives the block the same cells.  The countermodel
-               walk takes each step's entry back to the target and reads
-               off its values, the first of the class in cell order.
+               its table is filled once per class of x by the same steps
+               and forward loop over the block alone.  That is sound
+               because no other column reads the block's interior, and x's
+               slot already holds the meet of all its readers' classes, the
+               block's among them, so every value of the class gives the
+               block the same cells.  A fill depends only on the block's
+               steps, so the logic keeps it for later queries, in at most
+               MAX_RUN_SHAPES tables by run shape (a bucket-elimination
+               message reused); a call charges a stored fill's work as if
+               it had filled it, so its stats never depend on what the
+               process decided before.  The countermodel walk takes each
+               step's entry back to the target and reads off its values,
+               the first of the class in cell order.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; the DP's successor and pair
@@ -60,6 +65,7 @@ test suite enforces that.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
@@ -72,6 +78,9 @@ from .formula import (VAR, NEG, CONS, AND, OR, IMP, canonical_key,
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
+# The run shapes one logic's shared run tables hold; past it the least
+# recently used shape goes (see _CellRules.run_table).
+MAX_RUN_SHAPES = 128
 
 _CONN_NAME = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
 
@@ -217,32 +226,51 @@ class _CellRule:
 
 
 class _CellRules(dict):
-    """The cell rules of one logic by (connective, conj hook, pow hook)."""
+    """The cell rules of one logic by (connective, conj hook, pow hook), and
+    the logic's shared one-input run tables by run shape."""
 
     def __init__(self, logic):
         super().__init__()
         self.logic = logic
         self.forces_pow = any(v is not None
                               for v in algebra.forced_pow1_values(logic))
+        self.runs = OrderedDict()
 
     def __missing__(self, key):
         rule = self[key] = _CellRule(self.logic, *key)
         return rule
 
+    def run_table(self, shape):
+        """The shared table of the one-input runs whose inner steps have the
+        shape `shape` (see _steps): x's class -> ((entries, pruned), work),
+        as _RunView fills it.  At most MAX_RUN_SHAPES shapes are kept; the
+        least recently used one goes first."""
+        runs = self.runs
+        table = runs.get(shape)
+        if table is None:
+            table = runs[shape] = {}
+            if len(runs) > MAX_RUN_SHAPES:
+                runs.popitem(last=False)
+        else:
+            runs.move_to_end(shape)
+        return table
+
 
 # One entry per logic used; each grows only by the column kinds, roles, pairs
-# and input combinations that queries reach.
+# and input combinations that queries reach, and by at most MAX_RUN_SHAPES
+# run tables.
 _cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
 class _Plan:
-    __slots__ = ("logic", "columns", "index", "entries", "goal_ix", "premise_ix")
+    __slots__ = ("logic", "rules", "columns", "index", "entries", "goal_ix",
+                 "premise_ix")
 
     def __init__(self, logic, columns, goal=None, premises=()):
         self.logic = logic
         self.columns = columns
         self.index = {f: j for j, f in enumerate(columns)}
-        rules = _cell_rules(logic)
+        rules = self.rules = _cell_rules(logic)
         entries = []
         for f in columns:
             if f.kind == VAR:
@@ -518,36 +546,51 @@ class _PairTable(dict):
 _pair_entries = {}
 
 
-class _RunTable(dict):
-    """Successor table of a one-input run, local to one decide call.
+class _RunView(dict):
+    """Successor table of a one-input run, as one decide call sees it.
 
     A run is a block of plain columns whose only outside input is one
-    column x (see _runs).  The table maps x's class to (entries, pruned):
-    on first lookup it runs the run's own steps, column and pair steps
-    only, from the state (x's class,) with count 1 (_forward, charging the
-    states after the first to the call's budget).  Each state of the last
+    column x (see _runs).  The table maps x's class to (entries, pruned).
+    Its fill runs the run's own steps, column and pair steps only, from the
+    state (x's class,) with count 1 (_forward).  Each state of the last
     frontier, the class of the run's last column, is a tail; its
     multiplicity is the state's count and its values are those of the
     first path to it in frontier order (_walk), one per column of the run.
     pruned is the path-weighted count of the cell values the restriction
     forbids.
+
+    The fill depends on the run's steps alone, so it is stored in `shared`,
+    the logic's table of runs of the same shape (_CellRules.run_table), with
+    its work: the states of its frontiers but the first, which stands for
+    the states entering the run that hold this class, counted by the run
+    step already.  The first lookup of a class in a call charges that work
+    to the call's budget: filled here, the fill charges it as it goes, and
+    a fill that trips the cap stores nothing; read from `shared`, the stored
+    work is charged at once.  So a call's work, cap trip and results do not
+    depend on what the process decided before.
     """
 
-    __slots__ = ("steps", "budget")
+    __slots__ = ("shared", "steps", "budget")
 
-    def __init__(self, steps, budget):
+    def __init__(self, shared, steps, budget):
         super().__init__()
+        self.shared = shared
         self.steps = steps
         self.budget = budget
 
     def __missing__(self, inputs):
-        # The fill's first state stands for the states entering the run that
-        # hold this class, which the run step has counted already.
-        self.budget.work -= 1
-        frontier, frontiers, pruned = _forward(self.steps, {inputs: 1}, self.budget)
-        entry = self[inputs] = (
-            tuple((tail, mult, _walk(self.steps, frontiers, tail))
-                  for tail, mult in frontier.items()), pruned)
+        stored = self.shared.get(inputs)
+        if stored is None:
+            self.budget.work -= 1
+            frontier, frontiers, pruned = _forward(self.steps, {inputs: 1},
+                                                   self.budget)
+            entry = (tuple((tail, mult, _walk(self.steps, frontiers, tail))
+                           for tail, mult in frontier.items()), pruned)
+            self.shared[inputs] = (entry, sum(map(len, frontiers)) - 1)
+        else:
+            entry, work = stored
+            self.budget.spend(work)
+        self[inputs] = entry
         return entry
 
 
@@ -636,11 +679,11 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
 
     alive names the slots of the state entering a step, in the order they
     were appended, so a slot's position in the state is its index there.
-    A step is (table, input getter, getter of the kept slots), the getters
-    made from position tuples; it covers one column, a pair, or a run of
-    `runs` (whose table is built here and charges `budget`).  Only a
-    premise or goal column can be read by no later column, and only its
-    step reads and replaces the flag.
+    A step is (table, input positions, kept positions), the positions
+    tuples of slots of the state entering it (_compiled makes them
+    getters); it covers one column, a pair, or a run of `runs`, whose
+    per-call view (_RunView) charges `budget`.  Only a premise or goal column can be read
+    by no later column, and only its step reads and replaces the flag.
     """
     roles = {plan.goal_ix, *plan.premise_ix}
     steps = []
@@ -657,8 +700,12 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
             inner[x] = x_last
             inner[j] = j + 1  # the run's last column survives its run
             reads = [x]
-            table = _RunTable(_steps(plan, i, j, [x], inner, reps, {}, budget),
-                              budget)
+            program = _steps(plan, i, j, [x], inner, reps, {}, budget)
+            # The inner tables live as long as plan.rules, which holds the
+            # shared run tables, so their ids name them there.
+            shape = tuple((id(table), ins, kept) for table, ins, kept in program)
+            table = _RunView(plan.rules.run_table(shape), _compiled(program),
+                             budget)
         elif i < hi and not role and last[i] == i + 1 and i + 1 not in roles:
             j = i + 1
             reader, reader_srcs = plan.entries[j]
@@ -672,11 +719,16 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
                                          i == plan.goal_ix, last[i] > i, reps[i])
         kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
         slot = alive.index
-        steps.append((table, _getter(tuple(map(slot, reads))),
-                      _getter(tuple(map(slot, kept)))))
+        steps.append((table, tuple(map(slot, reads)), tuple(map(slot, kept))))
         alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
         i = j + 1
     return steps
+
+
+def _compiled(steps):
+    """`steps` with getters in place of their position tuples: a step runs
+    as (table, input getter, getter of the kept slots)."""
+    return [(table, _getter(ins), _getter(kept)) for table, ins, kept in steps]
 
 
 def _forward(steps, frontier, budget):
@@ -747,16 +799,22 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     only reader is the next column, itself plain, is summed out with that
     reader and never gets a slot.  Both tables are shared by every query
     with the same logic and column kinds, filled only at the inputs
-    reached.  Or the step is a one-input run (see _runs, _RunTable): a
+    reached.  Or the step is a one-input run (see _runs, _RunView): a
     block of at least three plain columns that depend on one earlier
     column x alone, read nothing else from outside, and but for the last
     are read only inside the block, such as the tower x^1, ..., x^(n) over
-    its base.  Its table, local to the call, maps x's class to the run's
-    last column's classes, filled per class by the same steps and forward
-    loop (_forward) from the state (x's class,).  That is exact: no column
-    outside the run reads its interior, and x's slot already holds the
-    meet of all its readers' classes, the run's among them, so every value
-    of the class gives the run the same cells.  A run is taken only where
+    its base.  Its table maps x's class to the run's last column's
+    classes, filled per class by the same steps and forward loop
+    (_forward) from the state (x's class,).  The fills are shared by every
+    query of the logic whose run has the same steps, in a bounded table
+    (_CellRules.run_table); the call sees them through a view of its own
+    that charges a fill's work on the call's first lookup of the class,
+    so work and the max_work trip are those of a fresh process.  That is
+    exact: no column outside the run reads its interior, and x's slot
+    already holds the meet of all its readers' classes, the run's among
+    them, so every value of the class gives the run the same cells.  The
+    fill is the same whichever query makes it, since the shape names the
+    tables and slot positions it runs.  A run is taken only where
     the state entering it holds a slot besides x and the flag, which plain
     steps would carry through every column of the block; elsewhere it could
     only lose the merging of x's classes after x's last reader.
@@ -776,9 +834,10 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     (rows_discarded), their sum (rows_total, as in build_table), and the
     states of the frontiers the steps expand (work), a run's own frontiers
     included once per class of x but for their first state, which the run
-    step has counted; a summed-out column adds none, and the values of one
-    class make one state.  Raises ResourceLimitError as soon as `work`
-    would exceed `max_work`.
+    step has counted, whether the call filled the class or found it filled;
+    a summed-out column adds none, and the values of one class make one
+    state.  Raises ResourceLimitError as soon as `work` would exceed
+    `max_work`; stored fills change neither whether nor where it trips.
     """
     start = time.perf_counter()
     premises = tuple(premises)
@@ -798,8 +857,8 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
             reps[src] = classes if reps[src] is None else _meet(reps[src], classes)
 
     budget = _Budget(max_work)
-    steps = _steps(plan, 0, ncols - 1, [_FLAG], last, reps, _runs(plan, last),
-                   budget)
+    steps = _compiled(_steps(plan, 0, ncols - 1, [_FLAG], last, reps,
+                             _runs(plan, last), budget))
     frontier, frontiers, pruned_paths = _forward(steps, {(_START,): 1}, budget)
 
     # the last column is a premise or the goal, so a final state is (flag,)

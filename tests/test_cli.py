@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import dacosta
 from dacosta import cli, tableau
-from dacosta.formula import C, parse
+from dacosta.formula import C, parse, random_formula
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -515,19 +516,40 @@ class TestEmitFiles:
         assert lines[0] == f"F({goal})"
         assert lines[-1] == "  " * 2398 + "F(p1)  <F(|)>  [open]"
 
-    def test_emit_deep_tableau_json_is_a_usage_error(self, capsys, tmp_path):
-        # The same chain nests too deeply for the JSON dump: exit 2 with
-        # one line that points to the text dump, not an internal error.
+    def test_emit_deep_tableau_json(self, capsys, tmp_path):
+        # The same chain dumps as JSON under a recursion limit far below its
+        # depth: both the tree and its text are walked with explicit stacks.
         path = tmp_path / "tree.json"
         goal = " | ".join(f"p{i}" for i in range(1200))
-        code, out, err = run_cli(
-            capsys, "decide", "--logic", "C1", "--method", "tableau",
-            "--format", "json", "--formula", goal, "--emit-tableau", str(path),
-        )
-        assert code == 2
-        assert err.startswith("dacosta: ") and err.count("\n") == 1
-        assert "--format text" in err
-        assert "Traceback" not in out + err and "internal error" not in err
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            code, out, err = run_cli(
+                capsys, "decide", "--logic", "C1", "--method", "tableau",
+                "--format", "json", "--formula", goal, "--emit-tableau", str(path))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["entailed"] is False
+        lines = path.read_text().splitlines()
+        assert lines[-1] == "}"
+        # a node's fields are indented by two levels more than its parent's
+        formulas = [ln for ln in lines if '"formula": ' in ln]
+        assert len(formulas) == 2399
+        assert formulas[0] == f'    "formula": "{goal}",'
+        assert formulas[-1] == "  " * (2 + 2 * 2398) + '"formula": "p1",'
+
+    def test_tableau_json_text_is_json_dumps(self):
+        # the dump's explicit-stack writer gives json.dumps' indented text
+        rng = random.Random(3)
+        docs = [{}, [], {"a": [[], {}]}, [1, [2.5, None], {"b": ["\u00e9", True]}]]
+        for lg in (C(1), C(2), C(3)):
+            for _ in range(20):
+                f = random_formula(rng, lg, rng.randint(0, 5), ("p", "q"))
+                docs.append(tableau.tableau_to_json(
+                    dacosta.prove(lg, f, build_tree=True).tableau))
+        for doc in docs:
+            assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("argv", [
         ("decide", "--logic", "C1", "--formula", "p -> p", "--emit-table"),

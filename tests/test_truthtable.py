@@ -1,6 +1,7 @@
 """Row-branching enumeration, decision procedure and partial-extension."""
 
 import functools
+import importlib.util
 import itertools
 import json
 import pathlib
@@ -45,16 +46,18 @@ PSI_ROWS = [
 
 @pytest.fixture
 def run_fills(monkeypatch):
-    """The fills of one-input run tables while the test runs, one per
-    class of a run's input."""
+    """The per-call lookups of one-input run tables while the test runs:
+    one per run step and class of its input in each decide call, whether
+    the logic's shared run tables held the class or it was filled then.
+    So it counts the runs that formed, whatever earlier tests decided."""
     fills = []
-    missing = truthtable._RunTable.__missing__
+    missing = truthtable._RunView.__missing__
 
-    def counting(table, inputs):
+    def counting(view, inputs):
         fills.append(inputs)
-        return missing(table, inputs)
+        return missing(view, inputs)
 
-    monkeypatch.setattr(truthtable._RunTable, "__missing__", counting)
+    monkeypatch.setattr(truthtable._RunView, "__missing__", counting)
     return fills
 
 
@@ -757,6 +760,23 @@ def tower_goals(count, seed):
     return out
 
 
+def benchmark_blocks(count, seed=7):
+    """(logic, goal, premises) of the first `count` blocks of each workload
+    of the benchmark's query generator (perfbench/workloads.py)."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for name in workloads.WORKLOADS:
+        for index in range(count):
+            for q in workloads.block(name, seed, index):
+                lg = parse_logic(q["logic"])
+                out.append((lg, parse(q["goal"], lg),
+                            tuple(parse(p, lg) for p in q["premises"])))
+    return out
+
+
 class TestOneInputRuns:
     """decide sums out a block of columns that depend on one earlier column
     alone, once per class of that column; the column-by-column DP in
@@ -804,6 +824,77 @@ class TestOneInputRuns:
         assert run_fills == []
         decide(C3, goal)
         assert run_fills
+
+    def test_results_do_not_depend_on_shared_tables(self, run_fills):
+        # Run tables are shared across calls; a call's figures and
+        # countermodel must be those of a fresh process whatever the tables
+        # hold: cleared, warm, or filled by the queries after it.
+        cases = [(lg, f, ()) for lg, f in tower_instances()] + \
+            tower_goals(140, 19) + benchmark_blocks(2)
+        logics = {lg for lg, _, _ in cases}
+
+        def answers(order):
+            return {i: decide_fields(*cases[i]) for i in order}
+
+        def held():
+            return {lg: {shape: dict(table) for shape, table
+                         in truthtable._cell_rules(lg).runs.items()}
+                    for lg in logics}
+
+        truthtable._cell_rules.cache_clear()
+        cold = answers(range(len(cases)))
+        filled = held()
+        assert run_fills and any(filled.values())
+        assert answers(range(len(cases))) == cold
+        assert held() == filled  # the warm run filled nothing
+        truthtable._cell_rules.cache_clear()
+        assert answers(reversed(range(len(cases)))) == cold
+
+    def test_cap_boundary_cold_and_warm(self, run_fills):
+        # A cap that trips inside a fill stores nothing, so the next call
+        # reports the work of a fresh process; a warm call charges a stored
+        # fill's work at once and trips at the same cap.
+        lg, goal = C3, parse("q -> p^(3) -> r")
+        truthtable._cell_rules.cache_clear()
+        work = decide(lg, goal).stats["work"]
+        inside_fill = 0
+        for cap in range(work):
+            truthtable._cell_rules.cache_clear()
+            run_fills.clear()
+            with pytest.raises(ResourceLimitError, match=f"exceeded {cap} "):
+                decide(lg, goal, max_work=cap)
+            runs = truthtable._cell_rules(lg).runs
+            inside_fill += bool(run_fills) and not any(runs.values())
+            assert decide(lg, goal, max_work=work).stats["work"] == work
+        assert inside_fill > 0
+        for cache in ("cold", "warm"):
+            if cache == "cold":
+                truthtable._cell_rules.cache_clear()
+            with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
+                decide(lg, goal, max_work=work - 1)
+            run_fills.clear()
+            assert decide(lg, goal, max_work=work).stats["work"] == work
+            assert run_fills, cache
+        assert all(truthtable._cell_rules(lg).runs.values())
+
+    def test_shared_tables_are_bounded(self, monkeypatch):
+        # More run shapes than the bound: the least recently used go, and no
+        # answer moves.
+        cases = [(lg, f, ()) for lg, f in tower_instances()] + tower_goals(140, 23)
+        truthtable._cell_rules.cache_clear()
+        want = [decide_fields(*case) for case in cases]
+        bound = 3
+        monkeypatch.setattr(truthtable, "MAX_RUN_SHAPES", bound)
+        truthtable._cell_rules.cache_clear()
+        shapes = set()
+        for case, expected in zip(cases, want):
+            assert decide_fields(*case) == expected
+            runs = truthtable._cell_rules(case[0]).runs
+            assert len(runs) <= bound
+            shapes.update((case[0], shape) for shape in runs)
+        assert len({lg for lg, _ in shapes}) > 1
+        assert max(sum(lg == other for other, _ in shapes)
+                   for lg, _ in shapes) > bound
 
     def test_p8_work(self):
         lg = C(8)
