@@ -498,20 +498,36 @@ def random_formula(rng, logic, connectives, atoms=("p", "q")):
     """A uniform-ish random formula with exactly `connectives` connective nodes.
 
     @ counts as one connective here (generation-side convenience; the complexity
-    measure still charges it 2).
+    measure still charges it 2).  A node draws its connective, then a binary
+    one the size of its left argument, before its arguments draw theirs,
+    left first.  The walk keeps an explicit stack, so the size is bounded by
+    memory, not by the interpreter's recursion limit.
     """
-    unary = [NEG, CONS] if (logic is None or logic.has_circ) else [NEG]
-    binary = [AND, OR, IMP]
-
-    def gen(k):
-        if k == 0:
-            return Var(rng.choice(atoms))
-        op = rng.choice(unary + binary)
-        if op in (NEG, CONS):
-            child = gen(k - 1)
-            return Neg(child) if op == NEG else Cons(child)
-        split = rng.randint(0, k - 1)
-        l, r = gen(split), gen(k - 1 - split)
-        return And(l, r) if op == AND else Or(l, r) if op == OR else Imp(l, r)
-
-    return gen(connectives)
+    if connectives < 0:
+        raise ValueError("connectives must be >= 0")
+    ops = ([NEG, CONS] if (logic is None or logic.has_circ) else [NEG]) + [AND, OR, IMP]
+    # `todo` holds the sizes still to draw and, negated, the kind of each
+    # node whose arguments are still being drawn; `made` holds the finished
+    # formulas, left to right.
+    made = []
+    todo = [connectives]
+    while todo:
+        k = todo.pop()
+        if k < 0:
+            kind = -k
+            if kind == NEG or kind == CONS:
+                made.append(_make(kind, None, made.pop(), None))
+            else:
+                right = made.pop()
+                made.append(_make(kind, None, made.pop(), right))
+        elif k == 0:
+            made.append(Var(rng.choice(atoms)))
+        else:
+            op = rng.choice(ops)
+            todo.append(-op)
+            if op == NEG or op == CONS:
+                todo.append(k - 1)
+            else:
+                split = rng.randint(0, k - 1)
+                todo += (k - 1 - split, split)
+    return made[0]

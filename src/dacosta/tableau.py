@@ -76,8 +76,8 @@ restriction, and every other formula's set meets the cell of any values
 its arguments take within their sets, which is the box property, so the
 values can be chosen bottom-up.  The factored form of each per-label rule
 is read off its template once per logic (`_factored_table`), that of each
-set rule on first use of the set; a derived expansion is factored once per
-proof, in the memo below.
+set rule on first use of the set, and that of a derived rule with the rule,
+in its table.
 
 An open complete branch yields a countermodel by extending its labels, each
 formula's set as the values allowed there, to a restricted valuation over
@@ -91,18 +91,26 @@ Derived rules (enabled per call) shortcut iterated-consistency towers x^k:
 they compress chains of basic expansions and may close a branch on the spot.
 The rules for x^k, ~(x^k) and x^k & ~(x^k) are computed from `algebra`'s
 tables and restriction: each extension pins the tower's root to one value
-under which the formula takes the label; x^1 & y^1 (n = 1) maps the & rule's
-labels back to the roots.  On a label set the rule is the union of the
-per-label ones, the root's values merged into one set (`_derived_set`).
-mbCcl has none: there ~x can designate x^1 freely, so x^1 is not a function
-of x.
+under which the formula takes the label.  x^(k) pins its base and the whole
+chain x^1..x^k, and x^1 & y^1 (n = 1) maps the & rule's labels back to the
+roots.  On a label set the rule is the union of the per-label ones, the
+root's values merged into one set.  Like the basic rules, they are read off
+tables rather than derived per formula: `_tower_shape` reads a formula's
+shape and its anchors (the root, or the base and its chain) off the chain
+the formula holds, and `_derived_rule` keeps, per logic, labels and shape,
+the rule over anchor positions and its factored form (`lru_cache`, 4,096
+entries); the anchors are put in for the positions when a proof resolves
+the rule.  A formula with no tower shape returns before any lookup.  mbCcl
+has no derived rules: there ~x can designate x^1 freely, so x^1 is not a
+function of x.
 
 Within one proof, the expansion of each signed formula is resolved once:
 formulas are interned, so `prove` keeps a memo keyed by (label set,
 formula), and a map from each x to its labelled triple partners.  Both live
-and die with the call; the rule tables stay the only source of the
-extensions.  Rule strings ("T(&)", "F2(->) derived") are built only for
-recorded trees.
+and die with the call; the basic and derived rule tables, which are keyed
+by plain values and bounded, stay the only source of the extensions.  Rule
+strings ("T(&)", "F2(->) derived") are built only for recorded trees, and
+branch records keep their label sets until `Branch.signed` is first read.
 """
 
 from __future__ import annotations
@@ -116,7 +124,7 @@ from itertools import product
 from . import algebra
 from .errors import ResourceLimitError
 from .formula import (VAR, NEG, CONS, AND, OR, IMP, Imp, Logic, check_signature,
-                      postorder, pow)
+                      postorder)
 from .truthtable import extend_partial
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -367,69 +375,6 @@ def _expand_raw(logic, label, f):
 # Derived rules
 
 
-def _derived_raw(logic, label, f):
-    """Derived extensions as for _expand_raw, () meaning close-now (star),
-    or None when no derived rule matches."""
-    n = logic.n
-    if _pow_chain_step(logic.family, n) is None:
-        return None  # the pow chain is not a function of the base (mbCcl)
-
-    # The towers: f is y & ~y, y or ~y (n >= 2) with y = root^u.  One
-    # extension per root value under which f can take the label.
-    shape = None
-    if f.conj_base is not None:
-        shape, root, u = _CONJ, f.conj_base.pow_base, f.conj_base.pow_height
-    elif f.pow_height >= 1 or (n >= 2 and f.kind == NEG and f.left.pow_height >= 1):
-        shape, y = (_POW, f) if f.pow_height >= 1 else (_NEG, f.left)
-        u = min(y.pow_height, n)
-        root = pow(y.pow_base, y.pow_height - u)
-    if shape is not None:
-        reach = _tower_values(logic.family, n, min(u, n + 1))
-        exts = tuple(((root, s),) for s, values in enumerate(reach)
-                     if label in values[shape])
-        return None if len(exts) == len(reach) else exts
-
-    if f.kind == AND:
-        seq = _powseq_decompose(f)
-        if seq is not None:
-            return _powseq_extensions(logic, seq[0], seq[1], label)
-
-    if n == 1 and f.kind == AND and f.left.pow_height >= 1 and f.right.pow_height >= 1:
-        # x^1 & y^1: the basic & rule with each label of x^1 (y^1) replaced
-        # by the values of x (y) that the pow chain sends there.
-        step = _pow_chain_step(logic.family, n)
-        roots = (f.left.left.conj_base, f.right.left.conj_base)
-        out = []
-        for ext in _rule_table(logic.family, n)[(label, AND)]:
-            choices = [[(roots[side], s) for s, v in enumerate(step) if v == l]
-                       for side, l in ext]
-            out.extend(product(*choices))
-        return tuple(out)
-
-    return None
-
-
-def _powseq_decompose(f):
-    """(base, k) when f is literally base^(k) = base^1 & ... & base^k with
-    k >= 2, None otherwise."""
-    parts = []
-    cur = f
-    while cur.kind == AND and cur.right.pow_height >= 1:
-        parts.append(cur.right)
-        cur = cur.left
-    if cur.pow_height < 1:
-        return None
-    parts.append(cur)
-    parts.reverse()
-    if len(parts) < 2:
-        return None
-    base = parts[0].pow_base
-    for i, g in enumerate(parts):
-        if g.pow_height != i + 1 or g.pow_base is not base:
-            return None
-    return base, len(parts)
-
-
 def _conj_cell(logic, v):
     """The values the tables alone give x & ~x when x has value v."""
     tab = algebra.tables(logic)
@@ -464,7 +409,9 @@ def _pow_chain_step(family, n):
     return tuple(step)
 
 
-_POW, _NEG, _CONJ = range(3)
+# Tower shapes: y, ~y and y & ~y with y = root^u (the indices of
+# `_tower_values`' triples); base^(k); and x^1 & y^1 at n = 1.
+_POW, _NEG, _CONJ, _SEQ, _PAIR = range(5)
 
 
 @lru_cache(maxsize=None)
@@ -505,22 +452,156 @@ def _powseq_profiles(family, n, k):
     return tuple(profiles)
 
 
-def _powseq_extensions(logic, base, k, label):
-    """Derived expansion of label(base^(k)): one branch per base value whose
-    forced pow chain lets the conjunction reach the label.  Each branch pins
-    the base and the whole chain base^1..base^k."""
-    profiles = _powseq_profiles(logic.family, logic.n, k)
+def _tower_shape(n, f):
+    """(key, anchors) of f's derived rule, or None when f has no tower
+    shape.  Read off the chain f holds: the key is a plain value that fixes
+    the rule with the logic and the labels, and the anchors are the
+    distinct formulas that the rule's positions 0, 1, ... stand for.
+
+      y & ~y, y = root^u:       (_CONJ, u clamped at n + 1), (root,)
+      y, or ~y at n >= 2, with the top u = min(height, n) levels of y:
+                                (_POW or _NEG, u), (root,)
+      base^(k), k >= 2:         (_SEQ, k), (base, base^1, ..., base^k)
+      x^1 & y^1 at n = 1:       (_PAIR, x is y), (x, y), or (x,) when x is y
+    """
+    if f.conj_base is not None:
+        y = f.conj_base
+        return (_CONJ, min(y.pow_height, n + 1)), (y.pow_base,)
+    if f.kind == AND:
+        # base^(k) = base^1 & ... & base^k, left-nested
+        parts = []
+        cur = f
+        while cur.kind == AND and cur.right.pow_height >= 1:
+            parts.append(cur.right)
+            cur = cur.left
+        if cur.pow_height >= 1 and parts:
+            parts.append(cur)
+            parts.reverse()
+            base = cur.pow_base
+            if all(g.pow_height == i and g.pow_base is base
+                   for i, g in enumerate(parts, 1)):
+                return (_SEQ, len(parts)), (base, *parts)
+        if n == 1 and f.left.pow_height >= 1 and f.right.pow_height >= 1:
+            x, y = f.left.left.conj_base, f.right.left.conj_base
+            if x is y:
+                return (_PAIR, True), (x,)
+            return (_PAIR, False), (x, y)
+        return None
+    if f.pow_height >= 1:
+        shape, y = _POW, f
+    elif n >= 2 and f.kind == NEG and f.left.pow_height >= 1:
+        shape, y = _NEG, f.left
+    else:
+        return None
+    u = min(y.pow_height, n)
+    root = y
+    for _ in range(u):
+        root = root.left.conj_base
+    return (shape, u), (root,)
+
+
+def _label_templates(family, n, label, key):
+    """The derived extensions of one label on the shape `key`, as tuples of
+    (anchor position, label); () means close now, and None that the label
+    asks nothing of a tower's root (every root value reaches it)."""
+    shape, arg = key
+    if shape == _SEQ:
+        # One branch per base value whose forced chain lets base^(k) take
+        # the label; it pins the base and the whole chain base^1..base^k.
+        return tuple(((0, s),) + tuple(enumerate(vs, 1))
+                     for s, (vs, finals) in enumerate(_powseq_profiles(family, n, arg))
+                     if label in finals)
+    if shape == _PAIR:
+        # The basic & rule with each label of x^1 (y^1) replaced by the
+        # values of x (y) that the pow chain sends there.
+        step = _pow_chain_step(family, n)
+        positions = (0, 0) if arg else (0, 1)
+        out = []
+        for ext in _rule_table(family, n)[(label, AND)]:
+            choices = [[(positions[side], s) for s, v in enumerate(step) if v == l]
+                       for side, l in ext]
+            out.extend(product(*choices))
+        return tuple(out)
+    # One extension per root value under which the tower takes the label.
+    reach = _tower_values(family, n, arg)
+    exts = tuple(((0, s),) for s, values in enumerate(reach)
+                 if label in values[shape])
+    return None if len(exts) == len(reach) else exts
+
+
+@lru_cache(maxsize=4096)
+def _derived_rule(family, n, per_label, mask, key):
+    """(extensions, factored) of the derived rule for the label set `mask`
+    on the shape `key`, extensions of (anchor position, label set) pairs and
+    `_factor` of them; None when no rule applies.  With per_label, the set
+    holds one label and the rule is that label's (`expand_derived`, tree
+    mode).  Otherwise it is the union of its labels' rules, with the
+    one-pair extensions on one position merged into one pair holding their
+    labels; None when some label has no rule, or when a merged pair allows
+    every value (it then asks nothing); () when no label has an extension
+    (close now).  Built on first use per logic, labels and shape."""
+    if per_label:
+        raw = _label_templates(family, n, mask.bit_length() - 1, key)
+        if raw is None:
+            return None
+        exts = tuple(map(_as_sets, raw))
+        return exts, _factor(exts)
+    union = {}
+    for label in _values(mask):
+        raw = _label_templates(family, n, label, key)
+        if raw is None:
+            return None
+        for ext in raw:
+            union.setdefault(_as_sets(ext), None)
     out = []
-    for s, (vs, finals) in enumerate(profiles):
-        if label not in finals:
-            continue
-        ext = [(base, s)]
-        g = base
-        for v in vs:
-            g = pow(g, 1)
-            ext.append((g, v))
-        out.append(tuple(ext))
-    return tuple(out)
+    single = {}  # position -> index in out of its one-pair extension
+    for ext in union:
+        if len(ext) == 1:
+            i, s = ext[0]
+            j = single.get(i)
+            if j is not None:
+                out[j] = ((i, out[j][0][1] | s),)
+                continue
+            single[i] = len(out)
+        out.append(ext)
+    full = (1 << (n + 2)) - 1
+    if any(out[j][0][1] == full for j in single.values()):
+        return None
+    exts = _merge_pairs(out)
+    return exts, _factor(exts)
+
+
+def _derived(family, n, per_label, mask, f):
+    """(extensions, factored) of f's derived rule with its anchors put in
+    for the positions (`_derived_rule`), or None when no rule applies: f
+    has no tower shape, or x^1 is no function of x (mbCcl: there ~x can
+    designate x^1 freely)."""
+    shape = _tower_shape(n, f)
+    if shape is None or _pow_chain_step(family, n) is None:
+        return None
+    key, anchors = shape
+    rule = _derived_rule(family, n, per_label, mask, key)
+    if rule is None:
+        return None
+    exts, factored = rule
+    if factored is not None:
+        shared, rests = factored
+        factored = _substitute((shared,), anchors)[0], _substitute(rests, anchors)
+    return _substitute(exts, anchors), factored
+
+
+def _substitute(template, anchors):
+    """Template extensions with each anchor position replaced by its formula."""
+    return tuple([tuple([(anchors[i], s) for i, s in ext]) for ext in template])
+
+
+def _derived_raw(logic, label, f):
+    """Derived extensions of label(f) as for _expand_raw, () meaning
+    close-now (star), or None when no derived rule matches."""
+    found = _derived(logic.family, logic.n, True, 1 << label, f)
+    if found is None:
+        return None
+    return tuple(tuple((g, s.bit_length() - 1) for g, s in ext) for ext in found[0])
 
 
 def expand_derived(logic, sf):
@@ -540,28 +621,8 @@ def _derived_set(logic, mask, f):
     merged into one pair holding their labels.  None when some label has no
     derived rule, or when a merged pair allows every value (it then asks
     nothing); () when no label has an extension (close now)."""
-    exts = {}
-    for label in _values(mask):
-        raw = _derived_raw(logic, label, f)
-        if raw is None:
-            return None
-        for ext in raw:
-            exts.setdefault(_as_sets(ext), None)
-    out = []
-    single = {}  # formula -> index in out of its one-pair extension
-    for ext in exts:
-        if len(ext) == 1:
-            g, s = ext[0]
-            i = single.get(g)
-            if i is not None:
-                out[i] = ((g, out[i][0][1] | s),)
-                continue
-            single[g] = len(out)
-        out.append(ext)
-    full = (1 << (logic.n + 2)) - 1
-    if any(out[i][0][1] == full for i in single.values()):
-        return None
-    return _merge_pairs(out)
+    found = _derived(logic.family, logic.n, False, mask, f)
+    return None if found is None else found[0]
 
 
 # --------------------------------------------------------------------------
@@ -671,16 +732,51 @@ class Node:
     status: str = ""  # set on leaves: "closed: ..." | "open" | "unexplored"
 
 
-@dataclass
 class Branch:
-    signed: list          # [(label, formula)] in insertion order; the label
-                          # is an int, or in bulk mode a sorted tuple of values
-    status: str           # "open" | "closed"
-    reason: str = ""
+    """A finished branch.  `signed` is [(label, formula)] in insertion
+    order, the label an int, or in bulk mode a sorted tuple of values;
+    `status` is "open" or "closed", and `reason` says why it closed, or
+    "unexplored" for an open branch left pending.  `prove` keeps the
+    branch's label sets (`_of_sets`) and converts them on the first read of
+    `signed`, so a record nobody reads costs no conversion."""
+
+    __slots__ = ("status", "reason", "_signed", "_sets", "_bulk")
+
+    def __init__(self, signed, status, reason=""):
+        self._signed = signed
+        self.status = status
+        self.reason = reason
+        self._sets = self._bulk = None
+
+    @classmethod
+    def _of_sets(cls, sets, bulk, status, reason=""):
+        """A record of (formula, label set) pairs, converted on read."""
+        branch = cls(None, status, reason)
+        branch._sets, branch._bulk = sets, bulk
+        return branch
+
+    @property
+    def signed(self):
+        if self._signed is None:
+            if self._bulk:
+                self._signed = [(_values(s), f) for f, s in self._sets]
+            else:
+                self._signed = [(s.bit_length() - 1, f) for f, s in self._sets]
+            self._sets = None
+        return self._signed
 
     @property
     def labels(self):
         return {f: l for l, f in self.signed}
+
+    def __eq__(self, other):
+        if not isinstance(other, Branch):
+            return NotImplemented
+        return (self.signed, self.status, self.reason) == \
+            (other.signed, other.status, other.reason)
+
+    def __repr__(self):
+        return f"Branch({self.signed!r}, {self.status!r}, {self.reason!r})"
 
 
 @dataclass
@@ -830,14 +926,17 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     branches' records are the paper's tableau; each label is an int.
 
     A (label set, formula) that many branches insert resolves its rule once
-    per call, through a memo that is dropped when the call returns.  Bulk
-    mode makes no tree, rule string or closed-branch record;
-    `tableau.branches` then holds the open and unexplored branches only.
+    per call, through a memo that is dropped when the call returns.  A
+    derived rule is read off a bounded per-logic table keyed by the
+    formula's tower shape (`_derived_rule`), with the formula's anchors put
+    in, so a proof derives no rule itself.  Bulk mode makes no tree, rule
+    string or closed-branch record; `tableau.branches` then holds the open
+    and unexplored branches only, and every record converts its label sets
+    on the first read of `signed`.
     The tree costs: over the first 20 axiom-proofs blocks of the benchmark's
-    seed 7 (1,700 queries, derived rules on), tree mode took about 7 times
-    bulk mode's time (0.79-0.96 against 0.11-0.14 s in-process on a 2-vCPU
-    VM),
-    and its largest proof held 3.3 MB traced against 0.02 MB.  Pass
+    seed 7 (1,700 queries, derived rules on), tree mode took about 9 times
+    bulk mode's time (0.69-0.90 against 0.07-0.12 s in-process on a 2-vCPU
+    VM), and its largest proof held 3.0 MB traced against 0.02 MB.  Pass
     build_tree=False unless the tree or the closed branches are wanted.
     """
     premises = tuple(premises)
@@ -857,12 +956,6 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
     label_rules = _label_rules(family, n) if build_tree else None
     names = algebra.value_names(logic) if build_tree else None
 
-    def signed(state):
-        """The branch's (label, formula) pairs in insertion order."""
-        if build_tree:
-            return [(s.bit_length() - 1, f) for f, s in state.labels.items()]
-        return [(_values(s), f) for f, s in state.labels.items()]
-
     def make_node(s, f, rule, parent):
         if not build_tree:
             return parent
@@ -877,14 +970,9 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         no more of them than the basic rule, else the basic rule's; and
         `_factor` of them, for a basic rule resolved from its template's."""
         if build_tree:
-            label = s.bit_length() - 1
-            rule = label_rules[(label, f.kind)]
-            derived = _derived_raw(logic, label, f) if use_derived else None
-            if derived is not None:
-                derived = tuple(map(_as_sets, derived))
+            rule = label_rules[(s.bit_length() - 1, f.kind)]
         else:
             rule = _set_rule(family, n, f.kind, s)
-            derived = _derived_set(logic, s, f) if use_derived else None
         if rule is None:
             return None
         template, factored = rule
@@ -895,8 +983,9 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         elif factored is not None:
             shared, rests = factored
             factored = _resolve((shared,), f)[0], _resolve(rests, f)
-        if derived is not None and len(derived) <= len(exts):
-            return derived, True, _factor(derived)
+        derived = _derived(family, n, build_tree, s, f) if use_derived else None
+        if derived is not None and len(derived[0]) <= len(exts):
+            return derived[0], True, derived[1]
         return exts, False, factored
 
     def expansion_of(s, f):
@@ -1002,9 +1091,11 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         if build_tree and state.leaf is not None:
             state.leaf.status = f"closed: {reason}" if status == "closed" else "open"
         # Bulk mode keeps only open branches (closed-branch records on large
-        # tableaux would dominate memory); tree mode records everything.
+        # tableaux would dominate memory); tree mode records everything.  A
+        # finished state is dropped, so its label sets need no copy.
         if build_tree or status == "open":
-            finished.append(Branch(signed(state), status, reason))
+            finished.append(Branch._of_sets(state.labels.items(), not build_tree,
+                                            status, reason))
 
     root_state = _BranchState({}, deque(), deque(), {}, None)
     reason = insert(root_state, 1 << (n + 1), root_formula, "root")
@@ -1118,8 +1209,8 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                             if h is g:
                                 break
                         leaf.status = f"closed: {reason}"
-                        finished.append(Branch(signed(state) + [(want.bit_length() - 1, g)],
-                                               "closed", reason))
+                        finished.append(Branch._of_sets(
+                            [*state.labels.items(), (g, want)], False, "closed", reason))
                 source = f
             else:
                 # Nothing is queued: a triple member with several labels
@@ -1163,7 +1254,8 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
                 stats["all_branches_closed"] = False
                 if build_tree and st.leaf is not None:
                     st.leaf.status = "unexplored"
-                finished.append(Branch(signed(st), "open", "unexplored"))
+                finished.append(Branch._of_sets(st.labels.items(), not build_tree,
+                                                "open", "unexplored"))
             break
 
     stats["elapsed"] = time.perf_counter() - start

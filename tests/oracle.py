@@ -13,15 +13,25 @@ to keep memory flat when the column list is long.
 
 reference_decide is the decision DP one column per step, with no successor
 tables and no fused steps: the figures `truthtable.decide` must reproduce.
+
+reference_derived_raw and reference_derived_set derive the tableau's tower
+rules formula by formula and label by label, rebuilding each chain with
+`pow`: the rules that `tableau`'s per-logic tables must give once their
+anchors are put in.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
 from dacosta.algebra import domain_size, tables
 from dacosta.formula import (AND, CONS, IMP, NEG, OR, VAR, And, Neg, pow,
                              postorder)
+from dacosta.tableau import (_CONJ, _NEG, _POW, _as_sets, _merge_pairs,
+                             _pow_chain_step, _powseq_profiles, _rule_table,
+                             _tower_values, _values)
 from dacosta.truthtable import _Plan
 
 _CHUNK = 1 << 20
@@ -159,3 +169,114 @@ def reference_decide(logic, goal, premises=()):
     return {"entailed": violating is None, "rows_live": sum(frontier.values()),
             "rows_discarded": discarded,
             "work": sum(len(f) for f in frontiers), "countermodel": countermodel}
+
+
+def reference_derived_raw(logic, label, f):
+    """Derived extensions as for _expand_raw, () meaning close-now (star),
+    or None when no derived rule matches."""
+    n = logic.n
+    if _pow_chain_step(logic.family, n) is None:
+        return None  # the pow chain is not a function of the base (mbCcl)
+
+    # The towers: f is y & ~y, y or ~y (n >= 2) with y = root^u.  One
+    # extension per root value under which f can take the label.
+    shape = None
+    if f.conj_base is not None:
+        shape, root, u = _CONJ, f.conj_base.pow_base, f.conj_base.pow_height
+    elif f.pow_height >= 1 or (n >= 2 and f.kind == NEG and f.left.pow_height >= 1):
+        shape, y = (_POW, f) if f.pow_height >= 1 else (_NEG, f.left)
+        u = min(y.pow_height, n)
+        root = pow(y.pow_base, y.pow_height - u)
+    if shape is not None:
+        reach = _tower_values(logic.family, n, min(u, n + 1))
+        exts = tuple(((root, s),) for s, values in enumerate(reach)
+                     if label in values[shape])
+        return None if len(exts) == len(reach) else exts
+
+    if f.kind == AND:
+        seq = _powseq_decompose(f)
+        if seq is not None:
+            return _powseq_extensions(logic, seq[0], seq[1], label)
+
+    if n == 1 and f.kind == AND and f.left.pow_height >= 1 and f.right.pow_height >= 1:
+        # x^1 & y^1: the basic & rule with each label of x^1 (y^1) replaced
+        # by the values of x (y) that the pow chain sends there.
+        step = _pow_chain_step(logic.family, n)
+        roots = (f.left.left.conj_base, f.right.left.conj_base)
+        out = []
+        for ext in _rule_table(logic.family, n)[(label, AND)]:
+            choices = [[(roots[side], s) for s, v in enumerate(step) if v == l]
+                       for side, l in ext]
+            out.extend(product(*choices))
+        return tuple(out)
+
+    return None
+
+
+def _powseq_decompose(f):
+    """(base, k) when f is literally base^(k) = base^1 & ... & base^k with
+    k >= 2, None otherwise."""
+    parts = []
+    cur = f
+    while cur.kind == AND and cur.right.pow_height >= 1:
+        parts.append(cur.right)
+        cur = cur.left
+    if cur.pow_height < 1:
+        return None
+    parts.append(cur)
+    parts.reverse()
+    if len(parts) < 2:
+        return None
+    base = parts[0].pow_base
+    for i, g in enumerate(parts):
+        if g.pow_height != i + 1 or g.pow_base is not base:
+            return None
+    return base, len(parts)
+
+
+def _powseq_extensions(logic, base, k, label):
+    """Derived expansion of label(base^(k)): one branch per base value whose
+    forced pow chain lets the conjunction reach the label.  Each branch pins
+    the base and the whole chain base^1..base^k."""
+    profiles = _powseq_profiles(logic.family, logic.n, k)
+    out = []
+    for s, (vs, finals) in enumerate(profiles):
+        if label not in finals:
+            continue
+        ext = [(base, s)]
+        g = base
+        for v in vs:
+            g = pow(g, 1)
+            ext.append((g, v))
+        out.append(tuple(ext))
+    return tuple(out)
+
+
+def reference_derived_set(logic, mask, f):
+    """The derived rule for a label set: the union of `reference_derived_raw`'s
+    extensions over its labels, with the one-pair extensions on one formula
+    merged into one pair holding their labels.  None when some label has no
+    derived rule, or when a merged pair allows every value (it then asks
+    nothing); () when no label has an extension (close now)."""
+    exts = {}
+    for label in _values(mask):
+        raw = reference_derived_raw(logic, label, f)
+        if raw is None:
+            return None
+        for ext in raw:
+            exts.setdefault(_as_sets(ext), None)
+    out = []
+    single = {}  # formula -> index in out of its one-pair extension
+    for ext in exts:
+        if len(ext) == 1:
+            g, s = ext[0]
+            i = single.get(g)
+            if i is not None:
+                out[i] = ((g, out[i][0][1] | s),)
+                continue
+            single[g] = len(out)
+        out.append(ext)
+    full = (1 << (logic.n + 2)) - 1
+    if any(out[i][0][1] == full for i in single.values()):
+        return None
+    return _merge_pairs(out)

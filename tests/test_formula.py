@@ -1,5 +1,6 @@
 """Parser, printer, abbreviations and subformula ordering."""
 
+import inspect
 import random
 import sys
 
@@ -564,3 +565,58 @@ class TestLogicNames:
     def test_c_requires_positive_index(self):
         with pytest.raises(ValueError):
             C(0)
+
+
+def recursive_random_formula(rng, logic, connectives, atoms=("p", "q")):
+    """`random_formula` as a recursion: the reference for the draws of the
+    iterative walk."""
+    unary = ([formula.NEG, formula.CONS] if (logic is None or logic.has_circ)
+             else [formula.NEG])
+    binary = [formula.AND, formula.OR, formula.IMP]
+
+    def gen(k):
+        if k == 0:
+            return Var(rng.choice(atoms))
+        op = rng.choice(unary + binary)
+        if op in (formula.NEG, formula.CONS):
+            child = gen(k - 1)
+            return Neg(child) if op == formula.NEG else Cons(child)
+        split = rng.randint(0, k - 1)
+        l, r = gen(split), gen(k - 1 - split)
+        return (And(l, r) if op == formula.AND else Or(l, r) if op == formula.OR
+                else Imp(l, r))
+
+    return gen(connectives)
+
+
+class TestRandomFormula:
+    @pytest.mark.parametrize("lg", ALL_LOGICS + [None],
+                             ids=[lg.name for lg in ALL_LOGICS] + ["none"])
+    def test_same_draws_as_the_recursion(self, lg):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for size in range(31):
+                f = random_formula(ours, lg, size, ("p", "q", "r"))
+                assert f is recursive_random_formula(theirs, lg, size, ("p", "q", "r"))
+                assert ours.getstate() == theirs.getstate()
+
+    def test_size_does_not_depend_on_the_stack(self):
+        # 40 frames above this one: the draws and the constructors need a
+        # few, and the tree is hundreds of nodes deep.
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            f = random_formula(random.Random(3), CILA, 5000)
+        finally:
+            sys.setrecursionlimit(limit)
+        connectives, stack = 0, [f]
+        while stack:
+            g = stack.pop()
+            connectives += g.kind != formula.VAR
+            stack.extend(h for h in (g.left, g.right) if h is not None)
+        assert connectives == 5000
+
+    def test_negative_size(self):
+        with pytest.raises(ValueError):
+            random_formula(random.Random(0), C(1), -1)

@@ -35,8 +35,12 @@ from dacosta.tableau import (
     prove,
     tableau_to_json,
     tableau_to_text,
+    _as_sets,
+    _derived,
     _derived_raw,
+    _derived_rule,
     _derived_set,
+    _factor,
     _factored_table,
     _merge_pairs,
     _note_partner,
@@ -53,7 +57,7 @@ from dacosta.formula import (AND, CONS, IMP, NEG, OR, ordered_subformulas,
 from dacosta.truthtable import check_valuation, decide, extend_partial
 
 from conftest import random_corpus
-from oracle import oracle_rows
+from oracle import oracle_rows, reference_derived_raw, reference_derived_set
 
 X, Y = Var("x"), Var("y")
 P, Q = Var("p"), Var("q")
@@ -370,6 +374,68 @@ class TestDerivedRules:
             assert step[0] == 0
             assert step[n + 1] == 0
             assert step[1] == n + 1  # consistency mark of t_0 is F
+
+
+class TestDerivedTables:
+    """The derived rules read off `_derived_rule`'s per-logic tables, with
+    their anchors put in, against the derivation formula by formula and
+    label by label (`oracle.reference_derived_raw`, `_set`).  Each check
+    runs on a cleared table, warm, and cleared in reverse order, so that an
+    entry filled for one formula and read for another with the wrong
+    anchors shows."""
+
+    LOGICS = COHERENCE_LOGICS + [C(5)]
+
+    @staticmethod
+    def formulas(n):
+        out = [And(X, Y), Imp(pow(X, 1), X), Or(pow(X, 2), pow(X, 1))]
+        for base in (X, Or(P, Q)):
+            for u in range(n + 3):
+                y = pow(base, u)
+                out += [y, Neg(y), And(y, Neg(y))]
+            out += [powseq(base, k) for k in range(2, n + 2)]
+        if n == 1:
+            out += [And(pow(X, 1), pow(Y, 1)), And(pow(X, 1), pow(X, 1)),
+                    And(pow(X, 2), pow(Y, 1)), And(pow(Or(P, Q), 1), pow(X, 3))]
+        return out
+
+    @pytest.mark.parametrize("lg", LOGICS, ids=lambda l: l.name)
+    def test_tables_match_the_derivation(self, lg):
+        dom = domain_size(lg)
+        forms = self.formulas(lg.n)
+        labels = [(f, v) for f in forms for v in range(dom)]
+        sets = [(f, mask) for f in forms for mask in range(1, 1 << dom)]
+        for run in ("cleared", "warm", "reversed"):
+            if run != "warm":
+                _derived_rule.cache_clear()
+            step = -1 if run == "reversed" else 1
+            for f, v in labels[::step]:
+                want = reference_derived_raw(lg, v, f)
+                assert _derived_raw(lg, v, f) == want, (run, f.text, v)
+                if want is not None:
+                    factored = _derived(lg.family, lg.n, True, 1 << v, f)[1]
+                    assert factored == _factor(tuple(map(_as_sets, want))), (run, f.text, v)
+            for f, mask in sets[::step]:
+                want = reference_derived_set(lg, mask, f)
+                assert _derived_set(lg, mask, f) == want, (run, f.text, mask)
+                if want is not None:
+                    factored = _derived(lg.family, lg.n, False, mask, f)[1]
+                    assert factored == _factor(want), (run, f.text, mask)
+
+    def test_shapeless_formulas_and_mbccl_skip_the_table(self):
+        _derived_rule.cache_clear()
+        for f in (And(X, Y), Neg(X), Imp(pow(X, 1), X), Or(pow(X, 1), X)):
+            assert _derived_set(C(2), 3, f) is None
+            assert _derived_raw(C(2), 0, f) is None
+        for f in self.formulas(1):
+            assert _derived_set(MBCCL, 3, f) is None
+            assert _derived_raw(MBCCL, 0, f) is None
+        info = _derived_rule.cache_info()
+        assert info.hits == info.misses == 0
+
+    def test_table_is_bounded(self):
+        # the table is shared across proofs, so a long batch must not grow it
+        assert _derived_rule.cache_info().maxsize is not None
 
 
 class TestDerivedRuleCoherence:
@@ -821,6 +887,17 @@ class TestExtraction:
         assert not res.proved
         cm = res.countermodel
         assert check_valuation(C(2), dict(cm.items())) == []
+
+    @pytest.mark.parametrize("build_tree", [True, False])
+    def test_recorded_branches_read_as_constructed(self, build_tree):
+        # prove keeps each record's label sets and converts them when read
+        res = prove(C(2), parse("(p | q) -> (p & q)"), stop_on_open=False,
+                    build_tree=build_tree)
+        assert res.tableau.branches
+        for b in res.tableau.branches:
+            assert b.signed is b.signed
+            assert Branch(list(b.signed), b.status, b.reason) == b
+            assert {type(l) for l, _ in b.signed} == {int if build_tree else tuple}
 
     def test_closed_branch_rejected(self):
         with pytest.raises(ValueError, match="open"):
