@@ -36,8 +36,6 @@ from functools import lru_cache
 from .errors import DomainError
 from .formula import Logic
 
-_CONNECTIVES = ("neg", "cons", "and", "or", "imp")
-
 
 def snapshots(n):
     """The domain B_n in canonical order, as bit tuples of length n + 1."""

@@ -32,7 +32,12 @@ from .errors import ParseError
 
 VAR, NEG, CONS, AND, OR, IMP = range(6)
 
-_KIND_NAMES = {VAR: "var", NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
+# The name of each connective's table in algebra.tables.
+CONN_NAMES = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
+
+# An atom's name, as the parser reads it and Var accepts it.
+_ATOM = r"[A-Za-z][A-Za-z0-9_]*"
+_ATOM_RE = re.compile(_ATOM)
 
 # Pretty-printer precedence; higher binds tighter.
 _PREC = {IMP: 1, OR: 2, AND: 3, NEG: 4, CONS: 4, VAR: 5}
@@ -120,6 +125,11 @@ def _make(kind, name, left, right):
 
 
 def Var(name):
+    """The atom `name`; ValueError unless the parser reads `name` as an atom,
+    so that every formula's text parses back to it."""
+    if not _ATOM_RE.fullmatch(name):
+        raise ValueError(f"atom name {name!r} is not a letter followed by "
+                         "letters, digits or _")
     return _make(VAR, name, None, None)
 
 
@@ -202,9 +212,8 @@ def parse_logic(name):
 def check_signature(logic, *formulas):
     """Raise ValueError when a formula uses @ and `logic` is a C_n, whose
     signature lacks it.  Both decision procedures check their input here."""
-    # A @ node always shows in the text; an atom's name may hold one too.
-    if (not logic.has_circ and any("@" in f.text for f in formulas)
-            and any(g.kind == CONS for g in postorder(*formulas))):
+    # Only a @ node puts @ in a text: atom names hold none (Var).
+    if not logic.has_circ and any("@" in f.text for f in formulas):
         raise ValueError(
             f"consistency connective not in signature of {logic.name}")
 
@@ -312,7 +321,7 @@ def ordered_subformulas(goal, premises=()):
 # One scan takes every token: an atom, a number, "->", or any other single
 # character other than whitespace, which is a connective, a parenthesis, "^",
 # or a character no token starts with.
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|\d+|->|\S")
+_TOKEN_RE = re.compile(_ATOM + r"|\d+|->|\S")
 _LP, _RP, _POW = 6, 7, 8
 _KINDS = {"~": NEG, "¬": NEG, "@": CONS, "∘": CONS, "°": CONS,
           "&": AND, "∧": AND, "|": OR, "∨": OR, "->": IMP, "→": IMP,

@@ -123,8 +123,8 @@ from itertools import product
 
 from . import algebra
 from .errors import ResourceLimitError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, Imp, Logic, check_signature,
-                      postorder)
+from .formula import (VAR, NEG, CONS, AND, OR, IMP, CONN_NAMES, Imp, Logic,
+                      check_signature, postorder)
 from .truthtable import extend_partial
 
 DEFAULT_MAX_NODES = 1_000_000
@@ -281,9 +281,6 @@ def _label_rules(family, n):
     return out
 
 
-_CONN_NAMES = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
-
-
 @lru_cache(maxsize=4096)
 def _set_rule(family, n, kind, mask):
     """(extensions, factored) of the label set `mask` on connective `kind`,
@@ -297,7 +294,7 @@ def _set_rule(family, n, kind, mask):
     set: each distinct non-empty R_a gives the box {a' : R_a' contains R_a}
     x R_a, boxes inside another are dropped, and a side whose set is the
     whole domain is left out.  Built on first use per set reached."""
-    table = algebra.tables(Logic(family, n))[_CONN_NAMES[kind]]
+    table = algebra.tables(Logic(family, n))[CONN_NAMES[kind]]
     size = n + 2
     full = (1 << size) - 1
 

@@ -15,47 +15,17 @@ Two engines share this semantics:
   build_table  materializes rows in canonical depth-first order (display,
                small-scale oracle checks); guarded by a row cap.
   decide       computes the verdict, exact live-row count and a countermodel
-               without materializing rows, by dynamic programming over the
-               plain postorder of the goal and premises (no search for a
-               narrower order).  A state is one flag slot (is every premise
-               so far designated, and the goal's status) plus a slot for
-               each column that later steps still read, so formulas whose
-               tables have astronomically many rows (iterated-consistency
-               towers) stay feasible.  A column's slot holds the class of
-               its value: the first of the values that no reader of the
-               column can tell apart (interchangeable values, Freuder 1991),
-               and the rows of a class are counted together (lumping, as in
-               Kemeny & Snell 1960).  A C_n conjunction, say, reads an
-               argument only as T, F or some t_k, so n inconsistent values
-               take one slot value.  Every step has one form: a table maps
-               its input slots to (tail, multiplicity, values) entries, and
-               each tail is appended to the kept slots.  A premise or goal
-               step reads the flag and appends its new value.  A column read
-               only by the next column is summed out inside that column's
-               step (bucket elimination, Dechter 1999), so it never takes a
-               state slot: the values of a tower level's ~y, which the
-               restriction collapses again at y & ~y, never widen a
-               frontier.  A one-input run, a block of three or more plain
-               columns that depend on one earlier column x alone and, but
-               for the last, are read only inside the block (the tower
-               x^1 ... x^(n) over its base), is summed out in one step too:
-               its table is filled once per class of x by the same steps
-               and forward loop over the block alone.  That is sound
-               because no other column reads the block's interior, and x's
-               slot already holds the meet of all its readers' classes, the
-               block's among them, so every value of the class gives the
-               block the same cells.  A fill depends only on the block's
-               steps, so the logic keeps it for later queries, in at most
-               MAX_RUN_SHAPES tables by run shape (a bucket-elimination
-               message reused); a call charges a stored fill's work as if
-               it had filled it, so its stats never depend on what the
-               process decided before.  The countermodel walk takes each
-               step's entry back to the target and reads off its values,
-               the first of the class in cell order.
+               without materializing rows, by a frontier dynamic program
+               over the plain postorder of the goal and premises, which sums
+               columns out as bucket elimination does (Dechter 1999), so
+               formulas whose tables have astronomically many rows
+               (iterated-consistency towers) stay feasible.  Its docstring
+               states the DP's states, steps and countermodel walk.
 
 Both read a column's cell through one helper, _CellRule.split, which applies
-the restriction to the multioperation cell; the DP's successor and pair
-tables and the value classes are derived from it.
+the restriction to the multioperation cell; a query's _Plan lists each
+column's cell rule and inputs, and the DP's successor, pair and run tables
+and value classes are derived from them.
 
 Verdicts, live-row counts and countermodel existence are order-independent
 facts about the constraint system, so the two engines agree everywhere; the
@@ -73,7 +43,7 @@ from operator import itemgetter
 
 from . import algebra
 from .errors import ExtensionError, ResourceLimitError
-from .formula import (VAR, NEG, CONS, AND, OR, IMP, canonical_key,
+from .formula import (VAR, NEG, CONS, CONN_NAMES, canonical_key,
                       check_signature, ordered_subformulas, postorder)
 
 DEFAULT_MAX_ROWS = 5_000_000
@@ -81,8 +51,6 @@ DEFAULT_MAX_WORK = 50_000_000
 # The run shapes one logic's shared run tables hold; past it the least
 # recently used shape goes (see _CellRules.run_table).
 MAX_RUN_SHAPES = 128
-
-_CONN_NAME = {NEG: "neg", CONS: "cons", AND: "and", OR: "or", IMP: "imp"}
 
 
 class Valuation:
@@ -263,36 +231,55 @@ _cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
 class _Plan:
-    __slots__ = ("logic", "rules", "columns", "index", "entries", "goal_ix",
-                 "premise_ix")
+    """One query's plan: what the engines read of its columns, built in one
+    pass over them.
+
+    entries[j] is (cell rule of column j, its source column indices), and
+    last[j] the last column whose cell reads column j, or j when none does.
+    goal_ix and premise_ix locate the goal and premise columns, and roles
+    holds both.  Only a plan with a goal, which is decide's, meets class
+    maps: reps[j] is then the meet of column j's readers' class maps at the
+    positions where they read it (_CellRule.classes, _meet), None when
+    nothing reads it.  build_table and extend_partial give no goal and read
+    only the cells (candidates), so they build no class map.
+    """
+
+    __slots__ = ("rules", "columns", "index", "entries", "last", "reps",
+                 "goal_ix", "premise_ix", "roles")
 
     def __init__(self, logic, columns, goal=None, premises=()):
-        self.logic = logic
         self.columns = columns
-        self.index = {f: j for j, f in enumerate(columns)}
+        index = self.index = {f: j for j, f in enumerate(columns)}
         rules = self.rules = _cell_rules(logic)
-        entries = []
-        for f in columns:
+        entries = self.entries = []
+        last = self.last = list(range(len(columns)))
+        reps = self.reps = [None] * len(columns)
+        for j, f in enumerate(columns):
             if f.kind == VAR:
-                srcs = []
+                srcs = ()
             elif f.kind in (NEG, CONS):
                 if f.kind == CONS:
                     check_signature(logic, f)
-                srcs = [self.index[f.left]]
+                srcs = (index[f.left],)
             else:
-                srcs = [self.index[f.left], self.index[f.right]]
+                srcs = (index[f.left], index[f.right])
             has_conj = f.conj_base is not None
             if has_conj:
-                srcs.append(self.index[f.conj_base])
+                srcs += (index[f.conj_base],)
             has_pow = f.pow_height >= 1 and rules.forces_pow
             if has_pow:
-                srcs.append(self.index[f.left.conj_base])
-            entries.append((rules[_CONN_NAME.get(f.kind), has_conj, has_pow],
-                            tuple(srcs)))
-        # entries[j] = (cell rule of column j, its source column indices)
-        self.entries = entries
-        self.goal_ix = self.index[goal] if goal is not None else -1
-        self.premise_ix = tuple(self.index[p] for p in premises)
+                srcs += (index[f.left.conj_base],)
+            rule = rules[CONN_NAMES.get(f.kind), has_conj, has_pow]
+            entries.append((rule, srcs))
+            for k, src in enumerate(srcs):
+                last[src] = j
+                if goal is not None:
+                    classes = rule.classes(k)
+                    reps[src] = classes if reps[src] is None \
+                        else _meet(reps[src], classes)
+        self.goal_ix = index[goal] if goal is not None else -1
+        self.premise_ix = tuple(index[p] for p in premises)
+        self.roles = {self.goal_ix, *self.premise_ix}
 
     def candidates(self, j, values):
         """Cell for column j given the values list, after restriction forcing.
@@ -302,11 +289,6 @@ class _Plan:
         """
         rule, srcs = self.entries[j]
         return rule.split([values[s] for s in srcs])
-
-
-def _plan_for(logic, goal, premises):
-    columns = ordered_subformulas(goal, premises)
-    return _Plan(logic, columns, goal, premises)
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +323,8 @@ def build_table(logic, goal, premises=(), max_rows=DEFAULT_MAX_ROWS,
     would exceed `max_rows`.
     """
     start = time.perf_counter()
-    plan = _plan_for(logic, goal, tuple(premises))
+    premises = tuple(premises)
+    plan = _Plan(logic, ordered_subformulas(goal, premises))
     ncols = len(plan.columns)
     rows = []
     n_live = 0
@@ -380,7 +363,7 @@ def build_table(logic, goal, premises=(), max_rows=DEFAULT_MAX_ROWS,
                 f"table exceeds {max_rows} rows; raise max_rows to materialize")
 
     elapsed = time.perf_counter() - start
-    table = Table(logic, plan.columns, rows, goal, tuple(premises))
+    table = Table(logic, plan.columns, rows, goal, premises)
     table.stats = {
         "rows_live": n_live,
         "rows_discarded": n_disc,
@@ -628,7 +611,7 @@ def _getter(slots):
     return itemgetter(slice(slots[0], slots[0] + 1) if slots else slice(0, 0))
 
 
-def _runs(plan, last):
+def _runs(plan):
     """{start: (end, x, x's last reader in the run)} of the one-input runs.
 
     A run is a block start..end of at least three plain columns that read
@@ -636,9 +619,8 @@ def _runs(plan, last):
     the last is read only inside the block.  Blocks are taken left to
     right, each as long as it can be.
     """
-    roles = {plan.goal_ix, *plan.premise_ix}
+    roles, last, entries = plan.roles, plan.last, plan.entries
     runs = {}
-    entries = plan.entries
     ncols = len(entries)
     i = 0
     while i < ncols:
@@ -674,19 +656,22 @@ def _runs(plan, last):
     return runs
 
 
-def _steps(plan, lo, hi, alive, last, reps, runs, budget):
-    """The steps over the columns lo..hi, entering with the slots `alive`.
+def _steps(plan, lo, hi, alive, last, runs, budget):
+    """The steps over the columns lo..hi, entering with the slots `alive`,
+    and their shape.
 
     alive names the slots of the state entering a step, in the order they
     were appended, so a slot's position in the state is its index there.
-    A step is (table, input positions, kept positions), the positions
-    tuples of slots of the state entering it (_compiled makes them
-    getters); it covers one column, a pair, or a run of `runs`, whose
-    per-call view (_RunView) charges `budget`.  Only a premise or goal column can be read
-    by no later column, and only its step reads and replaces the flag.
+    A step runs as (table, input getter, getter of the kept slots), each
+    getter reading its positions in the state entering the step, and its
+    shape entry is (id(table), input positions, kept positions).  A step
+    covers one column, a pair, or a run of `runs`, whose per-call view
+    (_RunView) charges `budget`.  `last` is plan.last, or in a run's own
+    steps the run's last readers.  Only a premise or goal column can be
+    read by no later column, and only its step reads and replaces the flag.
     """
-    roles = {plan.goal_ix, *plan.premise_ix}
-    steps = []
+    roles, reps = plan.roles, plan.reps
+    steps, shape = [], []
     i = lo
     while i <= hi:
         rule, srcs = plan.entries[i]
@@ -700,35 +685,30 @@ def _steps(plan, lo, hi, alive, last, reps, runs, budget):
             inner[x] = x_last
             inner[j] = j + 1  # the run's last column survives its run
             reads = [x]
-            program = _steps(plan, i, j, [x], inner, reps, {}, budget)
+            program, program_shape = _steps(plan, i, j, [x], inner, {}, budget)
             # The inner tables live as long as plan.rules, which holds the
             # shared run tables, so their ids name them there.
-            shape = tuple((id(table), ins, kept) for table, ins, kept in program)
-            table = _RunView(plan.rules.run_table(shape), _compiled(program),
+            table = _RunView(plan.rules.run_table(program_shape), program,
                              budget)
         elif i < hi and not role and last[i] == i + 1 and i + 1 not in roles:
             j = i + 1
             reader, reader_srcs = plan.entries[j]
             positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
-            reads = list(srcs) + [s for s in reader_srcs if s != i]
+            reads = srcs + tuple(s for s in reader_srcs if s != i)
             table = reader.pair_table(rule, len(srcs), positions, reps[j])
         else:
             j = i
-            reads = list(srcs) + ([_FLAG] if role else [])
+            reads = srcs + (_FLAG,) if role else srcs
             table = rule.successor_table(i in plan.premise_ix,
                                          i == plan.goal_ix, last[i] > i, reps[i])
         kept = [p for p in alive if (not role if p == _FLAG else last[p] > j)]
         slot = alive.index
-        steps.append((table, tuple(map(slot, reads)), tuple(map(slot, kept))))
+        ins, keep = tuple(map(slot, reads)), tuple(map(slot, kept))
+        steps.append((table, _getter(ins), _getter(keep)))
+        shape.append((id(table), ins, keep))
         alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
         i = j + 1
-    return steps
-
-
-def _compiled(steps):
-    """`steps` with getters in place of their position tuples: a step runs
-    as (table, input getter, getter of the kept slots)."""
-    return [(table, _getter(ins), _getter(kept)) for table, ins, kept in steps]
+    return steps, tuple(shape)
 
 
 def _forward(steps, frontier, budget):
@@ -781,15 +761,18 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     """Decide whether `premises` entail `goal` in `logic`.
 
     Exact over the same table semantics as build_table, by a frontier
-    dynamic program over the postorder of the goal and premises.  A state is
-    a flat tuple, counted by the table rows that reach it.  It starts as
-    (flag,): the flag slot says whether every premise so far is designated,
-    and the goal's status.  The other slots hold the columns assigned so
-    far that later steps still read, each as its class: the first value,
-    in canonical order, of the values that every reader of the column, at
-    every position where it reads it, splits alike (_CellRule.classes, met
-    over the readers by _meet).  Replacing a value by its class changes no
-    reader's cell or restriction, so the rows of a class go on together.
+    dynamic program over the postorder of the goal and premises, laid out
+    by the query's _Plan.  A state is a flat tuple, counted by the table
+    rows that reach it.  It starts as (flag,): the flag slot says whether
+    every premise so far is designated, and the goal's status.  The other
+    slots hold the columns assigned so far that later steps still read,
+    each as its class (the plan's reps): the first value, in canonical
+    order, of the values that every reader of the column, at every position
+    where it reads it, splits alike (interchangeable values, Freuder 1991).
+    Replacing a value by its class changes no reader's cell or restriction,
+    so the rows of a class go on together (lumping, Kemeny & Snell 1960),
+    and a C_n conjunction, say, which reads an argument only as T, F or some
+    t_k, gives n inconsistent values one slot value.
 
     Every step looks up its input slots in a table and gets (tail, mult,
     values) entries: the state's kept slots plus each tail make a
@@ -797,27 +780,29 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     _Successors), where a premise or goal column also reads the flag and
     appends its new value; or a pair (see _PairTable): a plain column whose
     only reader is the next column, itself plain, is summed out with that
-    reader and never gets a slot.  Both tables are shared by every query
-    with the same logic and column kinds, filled only at the inputs
-    reached.  Or the step is a one-input run (see _runs, _RunView): a
-    block of at least three plain columns that depend on one earlier
-    column x alone, read nothing else from outside, and but for the last
-    are read only inside the block, such as the tower x^1, ..., x^(n) over
-    its base.  Its table maps x's class to the run's last column's
-    classes, filled per class by the same steps and forward loop
-    (_forward) from the state (x's class,).  The fills are shared by every
-    query of the logic whose run has the same steps, in a bounded table
-    (_CellRules.run_table); the call sees them through a view of its own
-    that charges a fill's work on the call's first lookup of the class,
-    so work and the max_work trip are those of a fresh process.  That is
-    exact: no column outside the run reads its interior, and x's slot
-    already holds the meet of all its readers' classes, the run's among
-    them, so every value of the class gives the run the same cells.  The
-    fill is the same whichever query makes it, since the shape names the
-    tables and slot positions it runs.  A run is taken only where
-    the state entering it holds a slot besides x and the flag, which plain
-    steps would carry through every column of the block; elsewhere it could
-    only lose the merging of x's classes after x's last reader.
+    reader and never gets a slot, so the values of a tower level's ~y,
+    which the restriction collapses again at y & ~y, never widen a
+    frontier.  Both tables are shared by every query with the same logic
+    and column kinds, filled only at the inputs reached.  Or the step is a
+    one-input run (see _runs, _RunView): a block of at least three plain
+    columns that depend on one earlier column x alone, read nothing else
+    from outside, and but for the last are read only inside the block, such
+    as the tower x^1, ..., x^(n) over its base.  Its table maps x's class to
+    the run's last column's classes, filled per class by the same steps and
+    forward loop (_forward) from the state (x's class,).  The fills are
+    shared by every query of the logic whose run has the same steps, in at
+    most MAX_RUN_SHAPES tables by run shape (_CellRules.run_table); the
+    call sees them through a view of its own that charges a fill's work on
+    the call's first lookup of the class, so work and the max_work trip are
+    those of a fresh process.  That is exact: no column outside the run
+    reads its interior, and x's slot already holds the meet of all its
+    readers' classes, the run's among them, so every value of the class
+    gives the run the same cells.  The fill is the same whichever query
+    makes it, since the shape names the tables and slot positions it runs.
+    A run is taken only where the state entering it holds a slot besides x
+    and the flag, which plain steps would carry through every column of the
+    block; elsewhere it could only lose the merging of x's classes after
+    x's last reader.
 
     The frontier entering every step is kept.  The countermodel is walked
     back from the final state (_VIOLATED,) (_walk): at each step it takes
@@ -843,22 +828,9 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     premises = tuple(premises)
     order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
-    ncols = len(order)
-
-    # last[i] = last position whose cell reads column i; reps[i] = the class
-    # map of column i, the meet of its readers' maps at the positions where
-    # they read it (None when nothing reads it).
-    last = list(range(ncols))
-    reps = [None] * ncols
-    for i, (rule, srcs) in enumerate(plan.entries):
-        for k, src in enumerate(srcs):
-            last[src] = i
-            classes = rule.classes(k)
-            reps[src] = classes if reps[src] is None else _meet(reps[src], classes)
-
     budget = _Budget(max_work)
-    steps = _compiled(_steps(plan, 0, ncols - 1, [_FLAG], last, reps,
-                             _runs(plan, last), budget))
+    steps, _ = _steps(plan, 0, len(order) - 1, [_FLAG], plan.last,
+                      _runs(plan), budget)
     frontier, frontiers, pruned_paths = _forward(steps, {(_START,): 1}, budget)
 
     # the last column is a premise or the goal, so a final state is (flag,)
@@ -912,12 +884,12 @@ def check_valuation(logic, assignment):
                 out.append(("signature", f, f"@ not in the signature of {logic.name}"))
                 continue
             if f.left in assignment:
-                cell = tab[_CONN_NAME[f.kind]][assignment[f.left]]
+                cell = tab[CONN_NAMES[f.kind]][assignment[f.left]]
                 if v not in cell:
                     out.append(("hom", f, "value outside the multioperation cell"))
         else:
             if f.left in assignment and f.right in assignment:
-                cell = tab[_CONN_NAME[f.kind]][assignment[f.left]][assignment[f.right]]
+                cell = tab[CONN_NAMES[f.kind]][assignment[f.left]][assignment[f.right]]
                 if v not in cell:
                     out.append(("hom", f, "value outside the multioperation cell"))
         base = f.conj_base

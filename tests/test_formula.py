@@ -44,6 +44,14 @@ class TestParsing:
         assert parse("p_12").name == "p_12"
         assert parse("alpha & b2") == And(Var("alpha"), Var("b2"))
 
+    def test_atom_names_parse_back(self):
+        # Var takes the parser's atom names only, so every text parses back
+        for bad in ["a@b", "p q", "1p", "_p", "p'", "", "pé"]:
+            with pytest.raises(ValueError, match="^atom name "):
+                Var(bad)
+        f = Imp(Var("a_1"), Var("Pq9"))
+        assert parse(f.text) is f
+
     def test_signature_gate(self):
         # @ is only in the LFI signature
         parse("@p", logic=MBCCL)

@@ -201,8 +201,9 @@ class TestDecide:
                 decide(lg, goal, premises)
             with pytest.raises(ValueError, match="not in signature"):
                 build_table(lg, goal, premises)
-        # an atom may carry @ in its name
-        assert decide(C1, Imp(Var("a@b"), Var("a@b"))).entailed
+        # no atom carries @ in its name, so only a @ node shows one
+        with pytest.raises(ValueError, match="^atom name 'a@b' "):
+            Var("a@b")
 
     def test_step_getters_are_bounded(self):
         # the getters are shared across queries, so a long batch must not
@@ -573,6 +574,21 @@ class TestValueClasses:
         run_corpus()
         assert sizes() == first
         assert first[0] > 0 and any(first[1].values())
+
+    def test_only_decide_builds_class_maps(self):
+        # build_table and extend_partial read cells only; building a rule's
+        # maps costs up to (n+2)^3 splits on first use, so they must not pay it
+        goal = parse("p^2 -> p")
+        truthtable._cell_rules.cache_clear()
+        build_table(C3, goal)
+        extend_partial(C3, ordered_subformulas(goal), {})
+        rules = truthtable._cell_rules(C3)
+        assert ("and", True, False) in rules and ("neg", False, True) in rules
+        assert all(rule.class_maps is None for rule in rules.values())
+        decide(C3, goal)
+        # every rule with inputs reads a column, so decide met its maps
+        assert all(rule.class_maps is not None
+                   for key, rule in rules.items() if key[0] is not None)
 
 
 class TestHighN:
