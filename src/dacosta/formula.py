@@ -345,6 +345,10 @@ MAX_SUGAR_TEXT = 1 << 20
 # reduced as they are read and never count more than one.
 MAX_NESTING = 1000
 
+# The parser's search for repeated groups looks at no more candidates and
+# compares no more tokens, together, than this many per token of the text.
+_RECALL_WORK = 4
+
 
 class _Unparsed(Exception):
     """Syntax error at token args[1]; parse() turns it into a ParseError at
@@ -390,23 +394,72 @@ def _sugar_exponent(f, digits, seq, at):
                             f"{MAX_SUGAR_TEXT} characters", at)
 
 
+def _recall(candidates, tokens, i, room, budget):
+    """(formula, token count, budget left) of the first recorded group in
+    `candidates` whose tokens and closing ")" are those after the "(" at
+    token i, formula None when there is none.  Only a group of at most
+    `room` tokens is taken: its token count bounds how many operators it
+    holds pending at once.  A group's tokens are balanced, so that ")"
+    closes the "(" at i.  Each candidate looked at costs 1 of `budget` and
+    each token compared 1 more; the search stops when it is spent."""
+    for start, n, f in candidates:
+        if budget <= 0:
+            break
+        budget -= 1
+        end = i + n + 1
+        if n <= room and end < len(tokens) and tokens[end] == ")":
+            # Groups that differ mostly do so in their first tokens, such
+            # as the ~( runs of towers of two heights.
+            budget -= 16
+            if n < 16 or tokens[i + 1:i + 17] == tokens[start:start + 16]:
+                budget -= n
+                if tokens[i + 1:end] == tokens[start:start + n]:
+                    return f, n, budget
+    return None, 0, budget
+
+
 def _parse_tokens(tokens, logic):
     """The formula of `tokens`, which end with "" for the end of input.
 
     One loop with an explicit stack of pending operators, each a (kind,
     token index) pair, and of the left arguments of the pending binary
     ones; `f` is the formula read last.
+
+    A parenthesized group that holds a group is recorded under its tokens
+    when it closes.  A later "(" followed by the same tokens and ")" takes
+    the recorded formula and jumps past that ")" (`_recall`), so a repeated
+    group, such as each level of a tower's text, is read once.  What is
+    inside parentheses parses the same wherever it stands, except for the
+    pending operators it adds, so a jump is taken only when the group's
+    token count, on top of the operators pending, stays within MAX_NESTING.
+    The search for repeats costs at most a few times the tokens: when its
+    budget is spent, the rest of the text is read token by token.
     """
     no_circ = logic is not None and not logic.has_circ
     ops = []
     lefts = []
+    # Recorded groups by the eight tokens from their first on, each as
+    # (index of its first token, token count, formula).
+    groups = {}
+    closed = -1  # the index of the last ")" read
+    budget = _RECALL_WORK * len(tokens)
     i = 0
     while True:
-        # A formula: prefix ~ and @ and open parentheses, then an atom.
+        # A formula: prefix ~ and @ and open parentheses, then an atom or
+        # a recorded group.
         tok = tokens[i]
         kind = _KINDS.get(tok)
         while kind == NEG or kind == CONS or kind == _LP:
-            if kind == CONS and no_circ:
+            if kind == _LP and groups and budget > 0:
+                found, n, budget = _recall(
+                    groups.get(tuple(tokens[i + 1:i + 9]), ()), tokens, i,
+                    MAX_NESTING - len(ops), budget)
+                if found is not None:
+                    f = found
+                    i += n + 2
+                    closed = i - 1
+                    break
+            elif kind == CONS and no_circ:
                 raise _Unparsed("consistency connective not in signature of "
                                 f"{logic.name}", i)
             ops.append((kind, i))
@@ -415,11 +468,12 @@ def _parse_tokens(tokens, logic):
             i += 1
             tok = tokens[i]
             kind = _KINDS.get(tok)
-        if kind is not None or tok[:1] not in _LETTERS:
-            raise _Unparsed(f"expected a formula, found {tok!r}" if tok
-                            else "unexpected end of input", i)
-        f = _make(VAR, tok, None, None)
-        i += 1
+        else:
+            if kind is not None or tok[:1] not in _LETTERS:
+                raise _Unparsed(f"expected a formula, found {tok!r}" if tok
+                                else "unexpected end of input", i)
+            f = _make(VAR, tok, None, None)
+            i += 1
         # After it: powers, closing parentheses, then a binary connective
         # or the end.
         while True:
@@ -462,7 +516,12 @@ def _parse_tokens(tokens, logic):
                 if kind != _RP:
                     raise _Unparsed(f"expected ')', found {tok!r}" if tok
                                     else "expected ')'", i)
-                ops.pop()
+                at = ops.pop()[1]
+                # Record the group when the last ")" lies inside it.
+                if closed > at:
+                    groups.setdefault(tuple(tokens[at + 1:at + 9]), []).append(
+                        (at + 1, i - at - 1, f))
+                closed = i
             elif tok:
                 raise _Unparsed(f"unexpected {tok!r} after formula", i)
             else:
@@ -483,6 +542,12 @@ def parse(text, logic=None):
     as 1,001 nested ~, @ or parentheses or a chain of 1,001 right-nested ->,
     raises "formula nested too deeply" at position 0, whatever the caller's
     recursion limit.
+
+    A parenthesized group that holds a group and repeats an earlier group
+    of the same text token for token is read once, so the written-out text
+    of a tower, which doubles per level, parses at the cost of its distinct
+    groups; a group of more than MAX_NESTING tokens is read, though its own
+    repeats are not.  The record of groups lives for one call.
     """
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")

@@ -973,17 +973,21 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
         if rule is None:
             return None
         template, factored = rule
-        exts = _resolve(template, f)
+        derived = _derived(family, n, build_tree, s, f) if use_derived else None
         if not build_tree and f.left is f.right:
-            exts = _merge_pairs(exts)
-            factored = _factor(exts)
-        elif factored is not None:
+            # merging the pairs of a bulk A op A can leave fewer extensions
+            # than the template has entries, so they are counted first
+            exts = _merge_pairs(_resolve(template, f))
+            if derived is not None and len(derived[0]) <= len(exts):
+                return derived[0], True, derived[1]
+            return exts, False, _factor(exts)
+        # _resolve gives one extension per template entry
+        if derived is not None and len(derived[0]) <= len(template):
+            return derived[0], True, derived[1]
+        if factored is not None:
             shared, rests = factored
             factored = _resolve((shared,), f)[0], _resolve(rests, f)
-        derived = _derived(family, n, build_tree, s, f) if use_derived else None
-        if derived is not None and len(derived[0]) <= len(exts):
-            return derived[0], True, derived[1]
-        return exts, False, factored
+        return _resolve(template, f), False, factored
 
     def expansion_of(s, f):
         key = (s, f)

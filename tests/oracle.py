@@ -18,6 +18,10 @@ reference_derived_raw and reference_derived_set derive the tableau's tower
 rules formula by formula and label by label, rebuilding each chain with
 `pow`: the rules that `tableau`'s per-logic tables must give once their
 anchors are put in.
+
+reference_parse is the parser that reads every token, with no record of
+the groups it has read: the results, error messages and positions
+`formula.parse` must give.
 """
 
 from __future__ import annotations
@@ -27,9 +31,15 @@ from itertools import product
 import numpy as np
 
 from dacosta.algebra import domain_size, tables
-from dacosta.formula import (AND, CONS, IMP, NEG, OR, VAR, And, Neg, pow,
-                             postorder)
-from dacosta.tableau import (_CONJ, _NEG, _POW, _as_sets, _merge_pairs,
+from dacosta.errors import ParseError
+from dacosta.formula import (_KINDS, _LETTERS, _LP, _POW, _REDUCES, _RP,
+                             _TOKEN_RE, AND, CONS, IMP, MAX_NESTING,
+                             MAX_SUGAR_TEXT, NEG, OR, VAR, And, Neg, _make,
+                             _sugar_exponent, _text_length, _Unparsed, pow,
+                             postorder, powseq)
+# tableau's tower shape _POW, apart from the parser's ^ token kind
+from dacosta.tableau import _POW as _TOWER_POW
+from dacosta.tableau import (_CONJ, _NEG, _as_sets, _merge_pairs,
                              _pow_chain_step, _powseq_profiles, _rule_table,
                              _tower_values, _values)
 from dacosta.truthtable import _Plan
@@ -184,7 +194,7 @@ def reference_derived_raw(logic, label, f):
     if f.conj_base is not None:
         shape, root, u = _CONJ, f.conj_base.pow_base, f.conj_base.pow_height
     elif f.pow_height >= 1 or (n >= 2 and f.kind == NEG and f.left.pow_height >= 1):
-        shape, y = (_POW, f) if f.pow_height >= 1 else (_NEG, f.left)
+        shape, y = (_TOWER_POW, f) if f.pow_height >= 1 else (_NEG, f.left)
         u = min(y.pow_height, n)
         root = pow(y.pow_base, y.pow_height - u)
     if shape is not None:
@@ -280,3 +290,106 @@ def reference_derived_set(logic, mask, f):
     if any(out[i][0][1] == full for i in single.values()):
         return None
     return _merge_pairs(out)
+
+
+# --------------------------------------------------------------------------
+# Parser
+
+def _parse_tokens(tokens, logic):
+    """The formula of `tokens`, which end with "" for the end of input.
+
+    One loop with an explicit stack of pending operators, each a (kind,
+    token index) pair, and of the left arguments of the pending binary
+    ones; `f` is the formula read last.
+    """
+    no_circ = logic is not None and not logic.has_circ
+    ops = []
+    lefts = []
+    i = 0
+    while True:
+        # A formula: prefix ~ and @ and open parentheses, then an atom.
+        tok = tokens[i]
+        kind = _KINDS.get(tok)
+        while kind == NEG or kind == CONS or kind == _LP:
+            if kind == CONS and no_circ:
+                raise _Unparsed("consistency connective not in signature of "
+                                f"{logic.name}", i)
+            ops.append((kind, i))
+            if len(ops) > MAX_NESTING:
+                raise _Unparsed("formula nested too deeply", None)
+            i += 1
+            tok = tokens[i]
+            kind = _KINDS.get(tok)
+        if kind is not None or tok[:1] not in _LETTERS:
+            raise _Unparsed(f"expected a formula, found {tok!r}" if tok
+                            else "unexpected end of input", i)
+        f = _make(VAR, tok, None, None)
+        i += 1
+        # After it: powers, closing parentheses, then a binary connective
+        # or the end.
+        while True:
+            tok = tokens[i]
+            kind = _KINDS.get(tok)
+            if kind == _POW:
+                # f^3 is pow, f^(3) is powseq.
+                digits = tokens[i + 1]
+                if digits[:1].isdecimal():
+                    f = pow(f, _sugar_exponent(f, digits, False, i))
+                    i += 2
+                elif (digits == "(" and tokens[i + 2][:1].isdecimal()
+                        and tokens[i + 3] == ")"):
+                    f = powseq(f, _sugar_exponent(f, tokens[i + 2], True, i))
+                    i += 4
+                else:
+                    raise _Unparsed("expected integer after '^'", i + 1)
+                continue
+            # Reduce the pending operators that bind tighter than this
+            # token; anything but a binary connective ends a parenthesis.
+            limit = _REDUCES.get(kind, IMP)
+            while ops and ops[-1][0] <= limit:
+                op, at = ops.pop()
+                if op <= CONS:
+                    left, right = f, None
+                    size = len(f.text)
+                else:
+                    left, right = lefts.pop(), f
+                    size = len(left.text) + len(f.text)
+                # parentheses and the connective add at most 8 characters,
+                # so the exact length is needed only near the limit
+                if (size + 8 > MAX_SUGAR_TEXT
+                        and _text_length(op, left, right) > MAX_SUGAR_TEXT):
+                    raise _Unparsed("formula too long: its text would pass "
+                                    f"{MAX_SUGAR_TEXT} characters", at)
+                f = _make(op, None, left, right)
+            if limit != IMP:
+                break
+            if ops:
+                if kind != _RP:
+                    raise _Unparsed(f"expected ')', found {tok!r}" if tok
+                                    else "expected ')'", i)
+                ops.pop()
+            elif tok:
+                raise _Unparsed(f"unexpected {tok!r} after formula", i)
+            else:
+                return f
+            i += 1
+        lefts.append(f)
+        ops.append((kind, i))
+        if len(ops) > MAX_NESTING:
+            raise _Unparsed("formula nested too deeply", None)
+        i += 1
+
+
+def reference_parse(text, logic=None):
+    """`formula.parse` with the reference loop."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    try:
+        return _parse_tokens(tokens, logic)
+    except _Unparsed as err:
+        message, at = err.args
+    starts = [m.start() for m in _TOKEN_RE.finditer(text)] + [len(text)]
+    for tok, start in zip(tokens[:-1], starts):
+        if tok not in _KINDS and tok[0] not in _LETTERS and not tok.isdecimal():
+            raise ParseError(f"unexpected character {tok!r}", start)
+    raise ParseError(message, 0 if at is None else starts[at])

@@ -692,6 +692,24 @@ class TestAxioms:
         for ln in lines:
             parse(ln, lg)
 
+    def test_instances_decide_in_one_batch(self, capsys, monkeypatch):
+        # C4 instances in the sugar-free text `axioms` writes: 14 lines of
+        # up to about 3,200 characters, each a tower that doubles per level
+        code, out, _ = run_cli(
+            capsys, "axioms", "--logic", "C4", "--instances", "1",
+            "--connectives", "1", "--seed", "7",
+        )
+        assert code == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, err = run_cli(
+            capsys, "decide", "--logic", "C4", "--stdin", "--derived-rules",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        docs = [json.loads(ln) for ln in out.splitlines()]
+        assert len(docs) == 14
+        assert all(d["entailed"] is True and d["agree"] is True for d in docs)
+
     def test_instance_seed_reproducible(self, capsys):
         code, out1, _ = run_cli(
             capsys, "axioms", "--logic", "Cila", "--instances", "1", "--seed", "4",

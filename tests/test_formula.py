@@ -1,15 +1,18 @@
 """Parser, printer, abbreviations and subformula ordering."""
 
 import inspect
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_LOGICS, subformula_set
+from oracle import reference_parse
 
-from dacosta import formula
+from dacosta import axioms, formula
 from dacosta.formula import (
     And, C, CILA, Cons, Imp, MAX_NESTING, MAX_SUGAR_TEXT, MBCCL, Neg, Or,
     ParseError, Var,
@@ -17,6 +20,8 @@ from dacosta.formula import (
     parse_logic, postorder, pow, pow_decompose, powseq, random_formula,
     strong_neg,
 )
+
+_GOLDEN = Path(__file__).resolve().parent / "data"
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -455,6 +460,152 @@ class TestNestingLimit:
         chain = " & ".join(["p"] * 5000) + " | q" * 5000
         f = parse(chain)
         assert f.complexity == 9999 and f.kind == formula.OR
+
+
+def _outcome(parser, text, logic=None):
+    """The formula `parser` reads from `text`, or its error's message and
+    position."""
+    try:
+        return parser(text, logic)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _pow_text(text, k):
+    """A spelling of A^k over a spelling `text` of A."""
+    for _ in range(k):
+        text = f"~(({text}) & ~({text}))"
+    return text
+
+
+# What a replaced token becomes.
+_EDITS = ["(", ")", "~", "@", "&", "|", "->", "^", "2", "p", "q", "$", " "]
+
+
+@st.composite
+def _repeating(draw, logic):
+    """Text of a formula that repeats a parenthesized group: A^k or A^(k)
+    at heights 1-4, A & A or (A -> B) | (A -> B), spelled canonically or
+    over random spellings of A and B, then maybe with one token deleted,
+    duplicated or replaced."""
+    (a, ta), (b, tb) = draw(_formulas(logic)), draw(_formulas(logic))
+    shape = draw(st.sampled_from(["pow", "powseq", "and", "or"]))
+    k = draw(st.integers(1, 4))
+    if shape == "pow":
+        f, text = pow(a, k), _pow_text(ta, k)
+    elif shape == "powseq":
+        f, text = powseq(a, k), _pow_text(ta, 1)
+        for i in range(2, k + 1):
+            text = f"({text}) & ({_pow_text(ta, i)})"
+    elif shape == "and":
+        f, text = And(a, a), f"({ta}) & ({ta})"
+    else:
+        f, text = Or(Imp(a, b), Imp(a, b)), f"(({ta}) -> ({tb})) | (({ta}) -> ({tb}))"
+    if draw(st.booleans()):
+        text = f.text
+    edit = draw(st.sampled_from([None, "delete", "duplicate", "replace"]))
+    if edit is not None:
+        start, end = draw(st.sampled_from(
+            [m.span() for m in formula._TOKEN_RE.finditer(text)]))
+        if edit == "delete":
+            text = text[:start] + text[end:]
+        elif edit == "duplicate":
+            text = text[:end] + " " + text[start:end] + text[end:]
+        else:
+            text = text[:start] + draw(st.sampled_from(_EDITS)) + text[end:]
+    return text
+
+
+class TestGroupMemo:
+    """The parser reads a repeated parenthesized group once; it must give
+    what reading every token gives (`oracle.reference_parse`)."""
+
+    @pytest.mark.parametrize("lg", [C(1), C(2), C(3), C(4), MBCCL, CILA],
+                             ids=lambda lg: lg.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_results_as_the_reference(self, lg, data):
+        text = data.draw(_repeating(lg))
+        # formulas are interned, so == is identity for them
+        assert _outcome(parse, text, lg) == _outcome(reference_parse, text, lg)
+
+    def test_corpora_parse_as_the_reference(self):
+        texts = []
+        for lg in [C(1), C(2), C(3), C(4), C(8), MBCCL, CILA]:
+            texts += [(inst.text, lg) for _, inst in axioms.instance_corpus(lg, 20)]
+        for name in ("decide_golden.json", "prove_golden.json"):
+            for q in json.loads((_GOLDEN / name).read_text())["queries"]:
+                lg = parse_logic(q["logic"])
+                texts += [(t, lg) for t in [q["goal"], *q["premises"]]]
+        assert all(parse(t, lg) is reference_parse(t, lg) for t, lg in texts)
+
+    @pytest.mark.parametrize("group", [
+        "(p -> q) -> (p -> q) -> r",
+        "~(~(p & ~p) & ~~(p & ~p))",
+        powseq(Var("p"), 3).text,
+        pow(Or(p, q), 3).text,
+        # over MAX_NESTING tokens, so never taken whole
+        pow(Var("p"), 8).text,
+    ], ids=["imp", "p^2", "p^(3)", "(p|q)^3", "p^8"])
+    def test_nesting_limit_flips_at_the_reference_depth(self, group):
+        def refuses(parser, d):
+            out = _outcome(parser, f"({group}) & " + "~" * d + f"({group})")
+            if isinstance(out, tuple):
+                assert out == ("formula nested too deeply (at position 0)", 0)
+                return True
+            return False
+
+        lo, hi = 0, MAX_NESTING
+        assert not refuses(reference_parse, lo) and refuses(reference_parse, hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if refuses(reference_parse, mid):
+                hi = mid
+            else:
+                lo = mid
+        assert [refuses(parse, d) for d in (lo - 1, lo, hi, hi + 1)] == \
+            [False, False, True, True]
+
+    @pytest.mark.parametrize("k, most", [(8, 100), (12, 300)])
+    def test_a_repeat_is_read_once(self, monkeypatch, k, most):
+        # Reading every token makes 1,533 nodes for k = 8 and 24,573 for
+        # k = 12.  With the memo a tower costs its distinct groups, 41 for
+        # k = 8.  A group of more than MAX_NESTING tokens is read, not taken
+        # whole, and from level 7 on a level's group is: 281 for k = 12.
+        tower = pow(parse("p | q"), k)
+        text = tower.text
+        calls = []
+        make = formula._make
+
+        def counting(*args):
+            calls.append(args[0])
+            return make(*args)
+
+        monkeypatch.setattr(formula, "_make", counting)
+        assert parse(text) is tower
+        assert len(calls) <= most
+
+    def test_the_search_for_repeats_stays_linear(self):
+        # Sibling groups ~(~(...~(pj & pj)...)) differ only at their middle,
+        # so every "(" in one finds many recorded groups of the same first
+        # tokens and length; comparing them all costs the square of the
+        # text.  Count the tokens the parser copies out of its token list.
+        class Counting(list):
+            copied = 0
+
+            def __getitem__(self, at):
+                got = super().__getitem__(at)
+                if isinstance(at, slice):
+                    Counting.copied += len(got)
+                return got
+
+        for k in (5, 20):
+            text = " & ".join("~(" * 300 + f"p{j} & p{j})" + ")" * 299
+                              for j in range(k))
+            tokens = Counting(formula._TOKEN_RE.findall(text) + [""])
+            Counting.copied = 0
+            assert formula._parse_tokens(tokens, None) is reference_parse(text)
+            assert Counting.copied <= 20 * len(tokens)
 
 
 class TestOrderedSubformulas:
