@@ -48,8 +48,8 @@ from .formula import (VAR, NEG, CONS, CONN_NAMES, canonical_key,
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
-# The run shapes one logic's shared run tables hold; past it the least
-# recently used shape goes (see _CellRules.run_table).
+# The run programs and the run shapes one logic keeps; past it the least
+# recently used goes (see _CellRules).
 MAX_RUN_SHAPES = 128
 
 
@@ -149,13 +149,22 @@ class _CellRule:
         `position` can tell the values of one class apart.  The maps of
         all positions are found on first use."""
         if self.class_maps is None:
-            width = self.arity + (self.conj_cells is not None) \
-                + (self.pow1_values is not None)
+            hooks = [h for h in (self.conj_cells, self.pow1_values)
+                     if h is not None]
+            width = self.arity + len(hooks)
             # A later position's signatures take one value per class at the
             # earlier positions: the other values of a class give the same
             # splits whatever the other inputs, so they would only repeat a
-            # signature's entries, never tell two signatures apart.
+            # signature's entries, never tell two signatures apart.  For the
+            # same reason a hook position, which split reads only through
+            # its filter, takes one value per distinct filter until its own
+            # map is found.
             domains = [self.full_domain] * width
+            for k, hook in enumerate(hooks, self.arity):
+                first = {}
+                for v, allowed in enumerate(hook):
+                    first.setdefault(allowed, v)
+                domains[k] = tuple(first.values())
             maps = []
             for k in range(width):
                 others = list(product(*domains[:k], *domains[k + 1:]))
@@ -195,13 +204,21 @@ class _CellRule:
 
 class _CellRules(dict):
     """The cell rules of one logic by (connective, conj hook, pow hook), and
-    the logic's shared one-input run tables by run shape."""
+    the logic's shared one-input run programs and run tables.
+
+    programs maps a run's key (_run_key) to (program, shape): the run's
+    inner steps, and their shape, which names the run's fills in runs
+    (run_table).  Each holds at most MAX_RUN_SHAPES entries, the least
+    recently used going first.  A program holds its fills by shape only, so
+    evicting a program or a fill table leaves the other exact.
+    """
 
     def __init__(self, logic):
         super().__init__()
         self.logic = logic
         self.forces_pow = any(v is not None
                               for v in algebra.forced_pow1_values(logic))
+        self.programs = OrderedDict()
         self.runs = OrderedDict()
 
     def __missing__(self, key):
@@ -211,22 +228,26 @@ class _CellRules(dict):
     def run_table(self, shape):
         """The shared table of the one-input runs whose inner steps have the
         shape `shape` (see _steps): x's class -> ((entries, pruned), work),
-        as _RunView fills it.  At most MAX_RUN_SHAPES shapes are kept; the
-        least recently used one goes first."""
-        runs = self.runs
-        table = runs.get(shape)
-        if table is None:
-            table = runs[shape] = {}
-            if len(runs) > MAX_RUN_SHAPES:
-                runs.popitem(last=False)
-        else:
-            runs.move_to_end(shape)
-        return table
+        as _RunView fills it."""
+        return _kept(self.runs, shape, dict)
+
+
+def _kept(table, key, make, *args):
+    """table[key], made by make(*args) if missing, in a table of at most
+    MAX_RUN_SHAPES entries whose least recently used entry goes first."""
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = make(*args)
+        if len(table) > MAX_RUN_SHAPES:
+            table.popitem(last=False)
+    else:
+        table.move_to_end(key)
+    return entry
 
 
 # One entry per logic used; each grows only by the column kinds, roles, pairs
 # and input combinations that queries reach, and by at most MAX_RUN_SHAPES
-# run tables.
+# run programs and run tables.
 _cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
@@ -656,6 +677,34 @@ def _runs(plan):
     return runs
 
 
+def _run_key(plan, i, j):
+    """What the run i..j reads, which its program follows from: reps[j],
+    which the readers after the run decide, then each column's cell rule
+    followed by the offsets c - s at which column c reads its sources.
+
+    Nothing outside the run reads its interior, so the run's last readers
+    and its other columns' class maps follow from its cells and offsets; so
+    does x_last, the last column that reads from before the run, where
+    every source is x.  A rule's arity and hooks give its offset count, so
+    the flat tuple reads back one way."""
+    key = [plan.reps[j]]
+    add = key.append
+    for c, (cell, ins) in enumerate(plan.entries[i:j + 1], i):
+        add(cell)
+        for s in ins:
+            add(c - s)
+    return tuple(key)
+
+
+def _run_program(plan, i, j, x, x_last, last):
+    """The steps of the run i..j over x (see _runs), entering with x's slot
+    alone, and their shape."""
+    inner = {c: last[c] for c in range(i, j)}
+    inner[x] = x_last
+    inner[j] = j + 1  # the run's last column survives its run
+    return _steps(plan, i, j, [x], inner, {}, None)
+
+
 def _steps(plan, lo, hi, alive, last, runs, budget):
     """The steps over the columns lo..hi, entering with the slots `alive`,
     and their shape.
@@ -666,9 +715,12 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
     getter reading its positions in the state entering the step, and its
     shape entry is (id(table), input positions, kept positions).  A step
     covers one column, a pair, or a run of `runs`, whose per-call view
-    (_RunView) charges `budget`.  `last` is plan.last, or in a run's own
-    steps the run's last readers.  Only a premise or goal column can be
-    read by no later column, and only its step reads and replaces the flag.
+    (_RunView) charges `budget`.  A run's own steps (_run_program) are
+    looked up in the logic's programs by what the run reads (_run_key),
+    and built only when that key is new.  `last` is plan.last, or in a
+    run's own steps the run's last readers.  Only a premise or goal column
+    can be read by no later column, and only its step reads and replaces
+    the flag.
     """
     roles, reps = plan.roles, plan.reps
     steps, shape = [], []
@@ -681,11 +733,10 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
         # by not carrying other slots than x and the flag through the block.
         if i in runs and len(alive) > 2:
             j, x, x_last = runs[i]
-            inner = {c: last[c] for c in range(i, j)}
-            inner[x] = x_last
-            inner[j] = j + 1  # the run's last column survives its run
             reads = [x]
-            program, program_shape = _steps(plan, i, j, [x], inner, {}, budget)
+            program, program_shape = _kept(plan.rules.programs,
+                                           _run_key(plan, i, j), _run_program,
+                                           plan, i, j, x, x_last, last)
             # The inner tables live as long as plan.rules, which holds the
             # shared run tables, so their ids name them there.
             table = _RunView(plan.rules.run_table(program_shape), program,
@@ -794,11 +845,15 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     most MAX_RUN_SHAPES tables by run shape (_CellRules.run_table); the
     call sees them through a view of its own that charges a fill's work on
     the call's first lookup of the class, so work and the max_work trip are
-    those of a fresh process.  That is exact: no column outside the run
-    reads its interior, and x's slot already holds the meet of all its
-    readers' classes, the run's among them, so every value of the class
-    gives the run the same cells.  The fill is the same whichever query
-    makes it, since the shape names the tables and slot positions it runs.
+    those of a fresh process.  The steps are kept too, in at most
+    MAX_RUN_SHAPES programs per logic keyed by what the run reads: its
+    cells, the offsets at which they read, and its last column's class map
+    (_run_key); a run whose key the logic holds builds no step.  That is
+    exact: no column outside the run reads its interior, and x's slot
+    already holds the meet of all its readers' classes, the run's among
+    them, so every value of the class gives the run the same cells.  The
+    fill is the same whichever query makes it, since the shape names the
+    tables and slot positions it runs.
     A run is taken only where the state entering it holds a slot besides x
     and the flag, which plain steps would carry through every column of the
     block; elsewhere it could only lose the merging of x's classes after

@@ -14,6 +14,9 @@ to keep memory flat when the column list is long.
 reference_decide is the decision DP one column per step, with no successor
 tables and no fused steps: the figures `truthtable.decide` must reproduce.
 
+reference_classes derives a cell rule's class maps with every hook input
+ranging over the whole domain: the maps `_CellRule.classes` must give.
+
 reference_derived_raw and reference_derived_set derive the tableau's tower
 rules formula by formula and label by label, rebuilding each chain with
 `pow`: the rules that `tableau`'s per-logic tables must give once their
@@ -179,6 +182,29 @@ def reference_decide(logic, goal, premises=()):
     return {"entailed": violating is None, "rows_live": sum(frontier.values()),
             "rows_discarded": discarded,
             "work": sum(len(f) for f in frontiers), "countermodel": countermodel}
+
+
+def reference_classes(rule):
+    """The class maps of every input position of the _CellRule `rule`: each
+    value's first value, in canonical order, that gives the same split as
+    it at every assignment of the other inputs.  The positions before one
+    take one value per class, the positions after it every value."""
+    width = rule.arity + (rule.conj_cells is not None) \
+        + (rule.pow1_values is not None)
+    domains = [rule.full_domain] * width
+    maps = []
+    for k in range(width):
+        others = list(product(*domains[:k], *domains[k + 1:]))
+        first, reps = {}, []
+        for u in rule.full_domain:
+            splits = []
+            for rest in others:
+                live, pruned = rule.split(rest[:k] + (u,) + rest[k:])
+                splits.append((live, len(pruned)))
+            reps.append(first.setdefault(tuple(splits), u))
+        maps.append(tuple(reps))
+        domains[k] = tuple(first.values())
+    return tuple(maps)
 
 
 def reference_derived_raw(logic, label, f):

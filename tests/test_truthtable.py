@@ -9,9 +9,11 @@ import random
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import enumerate_formulas, random_corpus, row_assignment
-from oracle import oracle_rows, reference_decide
+from oracle import oracle_rows, reference_classes, reference_decide
 
 from dacosta import axioms, truthtable
 from dacosta.algebra import (
@@ -23,6 +25,7 @@ from dacosta.formula import (
     AND, C, CILA, CONS, IMP, MBCCL, NEG, OR, VAR, And, Cons, Imp, Neg, Or, Var, parse,
     parse_logic, pow, powseq, random_formula,
 )
+from dacosta.tableau import prove
 from dacosta.truthtable import (
     build_table, check_valuation, decide, extend_partial, ordered_subformulas,
     render_table, table_verdict,
@@ -42,6 +45,21 @@ PSI_ROWS = [
     "t t T t F F t",
     "F T F F T F T",
 ]
+
+
+@pytest.fixture
+def run_builds(monkeypatch):
+    """The (start, end) of each one-input run program built while the test
+    runs; a run whose program the logic holds builds none."""
+    builds = []
+    build = truthtable._run_program
+
+    def counting(plan, i, j, *rest):
+        builds.append((i, j))
+        return build(plan, i, j, *rest)
+
+    monkeypatch.setattr(truthtable, "_run_program", counting)
+    return builds
 
 
 @pytest.fixture
@@ -469,6 +487,7 @@ class TestSuccessorTables:
 
 
 CLASS_LOGICS = [C(n) for n in range(1, 7)] + [MBCCL, CILA]
+REFERENCE_CLASS_LOGICS = [C(n) for n in (*range(1, 9), 16)] + [MBCCL, CILA]
 
 
 def restricted_cell(lg, conn, has_conj, has_pow, inputs):
@@ -524,6 +543,30 @@ class TestValueClasses:
                         assert (reps[u] == reps[w]) is same, (kind, position, u, w)
                 merged += len(set(reps)) < len(reps)
         assert merged > 0
+
+    @pytest.mark.parametrize("lg", REFERENCE_CLASS_LOGICS,
+                             ids=[lg.name for lg in REFERENCE_CLASS_LOGICS])
+    def test_classes_match_reference(self, lg):
+        # A hook input takes one value per distinct filter while the other
+        # positions' maps are found; the reference ranges it over every value.
+        for kind, width in rule_kinds(lg):
+            rule = truthtable._CellRule(lg, *kind)
+            assert tuple(map(rule.classes, range(width))) \
+                == reference_classes(truthtable._CellRule(lg, *kind)), kind
+
+    def test_hook_maps_split_once_per_filter(self, monkeypatch):
+        # C16 has 3 distinct conjunction filters over 18 values: ranging the
+        # hook over every value took 6,966 splits for this rule's maps.
+        calls = []
+        split = truthtable._CellRule.split
+
+        def counting(rule, inputs):
+            calls.append(inputs)
+            return split(rule, inputs)
+
+        monkeypatch.setattr(truthtable._CellRule, "split", counting)
+        truthtable._CellRule(C(16), "and", True, False).classes(0)
+        assert 0 < len(calls) <= 2_000
 
     def test_c1_columns_keep_every_value(self):
         # A C1 connective tells T, t and F apart at each argument.  Only the
@@ -747,33 +790,36 @@ class TestPairSteps:
         assert len(by_value) < sum(map(len, first.values()))
 
 
-def tower_goals(count, seed):
-    """(logic, goal, premises): towers pow(A, k) or powseq(A, k) of random
-    substituents A of 0-3 connectives over p and q, joined by &, | and ->,
-    with 0-2 premises of the same kind, in C1-C5, mbCcl and Cila.  k is at
-    most 3, and 2 in C4 and C5, where the reference's frontiers are wide."""
-    rng = random.Random(seed)
-    logics = [C1, C2, C3, C4, C(5), MBCCL, CILA]
-    joins = [And, Or, Imp]
+TOWER_LOGICS = [C1, C2, C3, C4, C(5), MBCCL, CILA]
 
-    def tower(lg):
+
+def tower_query(rng, lg):
+    """(goal, premises) in `lg`: towers pow(A, k) or powseq(A, k) of random
+    substituents A of 0-3 connectives over p and q, joined by &, | and ->,
+    with 0-2 premises of the same kind.  k is at most 3, and 2 in C4 and
+    C5, where the reference's frontiers are wide."""
+
+    def tower():
         sub = random_formula(rng, lg, rng.randint(0, 3), ("p", "q"))
         height = 2 if lg.family == "C" and lg.n >= 4 else 3
         return rng.choice((pow, powseq))(sub, rng.randint(1, height))
 
-    def joined(lg, towers):
-        f = tower(lg)
+    def joined(towers):
+        f = tower()
         for _ in range(towers - 1):
-            f = rng.choice(joins)(f, tower(lg))
+            f = rng.choice((And, Or, Imp))(f, tower())
         return f
 
-    out = []
-    for i in range(count):
-        lg = logics[i % len(logics)]
-        goal = joined(lg, rng.randint(1, 2))
-        premises = tuple(joined(lg, 1) for _ in range(rng.randint(0, 2)))
-        out.append((lg, goal, premises))
-    return out
+    goal = joined(rng.randint(1, 2))
+    return goal, tuple(joined(1) for _ in range(rng.randint(0, 2)))
+
+
+def tower_goals(count, seed):
+    """(logic, goal, premises) of `count` tower queries (tower_query), in
+    the logics of TOWER_LOGICS in turn."""
+    rng = random.Random(seed)
+    return [(lg, *tower_query(rng, lg))
+            for lg in itertools.islice(itertools.cycle(TOWER_LOGICS), count)]
 
 
 def benchmark_blocks(count, seed=7):
@@ -841,10 +887,12 @@ class TestOneInputRuns:
         decide(C3, goal)
         assert run_fills
 
-    def test_results_do_not_depend_on_shared_tables(self, run_fills):
-        # Run tables are shared across calls; a call's figures and
-        # countermodel must be those of a fresh process whatever the tables
-        # hold: cleared, warm, or filled by the queries after it.
+    def test_results_do_not_depend_on_shared_tables(self, run_fills,
+                                                     run_builds):
+        # Run programs and tables are shared across calls; a call's figures
+        # and countermodel must be those of a fresh process whatever they
+        # hold: cleared, warm, either one cleared, or filled by the queries
+        # after it.
         cases = [(lg, f, ()) for lg, f in tower_instances()] + \
             tower_goals(140, 19) + benchmark_blocks(2)
         logics = {lg for lg, _, _ in cases}
@@ -857,14 +905,49 @@ class TestOneInputRuns:
                          in truthtable._cell_rules(lg).runs.items()}
                     for lg in logics}
 
+        def clear(name):
+            for lg in logics:
+                getattr(truthtable._cell_rules(lg), name).clear()
+
         truthtable._cell_rules.cache_clear()
         cold = answers(range(len(cases)))
         filled = held()
-        assert run_fills and any(filled.values())
+        assert run_fills and any(filled.values()) and run_builds
+        run_builds.clear()
         assert answers(range(len(cases))) == cold
         assert held() == filled  # the warm run filled nothing
+        assert run_builds == []  # and built no program
+        clear("programs")
+        assert answers(range(len(cases))) == cold
+        assert held() == filled and run_builds
+        run_builds.clear()
+        clear("runs")
+        assert answers(range(len(cases))) == cold
+        assert held() == filled and run_builds == []
         truthtable._cell_rules.cache_clear()
         assert answers(reversed(range(len(cases)))) == cold
+
+    def test_programs_are_keyed_by_what_runs_read(self, run_builds):
+        # The tower p^(3) over p and over q & r, starting at columns 2 and
+        # 4, reads alike and shares one program and one fill table.  p^2
+        # read as the base of p^3 and read by a conjunction is the same run
+        # with another class map on its last column, so another program.
+        p, q, r, s = Var("p"), Var("q"), Var("r"), Var("s")
+        shared = [(Imp(q, Imp(powseq(p, 3), r)), ()),
+                  (Imp(s, Imp(powseq(And(q, r), 3), p)), ())]
+        apart = [(r, (pow(p, 3), Or(r, q))),
+                 (r, (And(pow(p, 2), r), Or(r, q)))]
+        for cases, programs in ((shared, 1), (apart, 2)):
+            truthtable._cell_rules.cache_clear()
+            run_builds.clear()
+            for goal, premises in cases:
+                got = decide_fields(C3, goal, premises)
+                assert got == dict(reference_decide(C3, goal, premises),
+                                   work=got["work"])
+            rules = truthtable._cell_rules(C3)
+            assert len(run_builds) == len(rules.programs) == len(rules.runs) \
+                == programs
+        assert [j - i for i, j in run_builds] == [5, 5]
 
     def test_cap_boundary_cold_and_warm(self, run_fills):
         # A cap that trips inside a fill stores nothing, so the next call
@@ -902,15 +985,38 @@ class TestOneInputRuns:
         bound = 3
         monkeypatch.setattr(truthtable, "MAX_RUN_SHAPES", bound)
         truthtable._cell_rules.cache_clear()
-        shapes = set()
+        shapes, keys = set(), set()
         for case, expected in zip(cases, want):
             assert decide_fields(*case) == expected
-            runs = truthtable._cell_rules(case[0]).runs
-            assert len(runs) <= bound
-            shapes.update((case[0], shape) for shape in runs)
-        assert len({lg for lg, _ in shapes}) > 1
-        assert max(sum(lg == other for other, _ in shapes)
-                   for lg, _ in shapes) > bound
+            rules = truthtable._cell_rules(case[0])
+            assert len(rules.runs) <= bound and len(rules.programs) <= bound
+            shapes.update((case[0], shape) for shape in rules.runs)
+            keys.update((case[0], key) for key in rules.programs)
+        for held in (shapes, keys):
+            assert len({lg for lg, _ in held}) > 1
+            assert max(sum(lg == other for other, _ in held)
+                       for lg, _ in held) > bound
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rng=st.randoms(use_true_random=False),
+           logics=st.lists(st.sampled_from(TOWER_LOGICS), min_size=1,
+                           max_size=6))
+    def test_engines_agree_with_shared_tables_warm(self, rng, logics):
+        # The shared tables stay as earlier examples and tests left them,
+        # and the logics come in a drawn order.
+        for lg in logics:
+            goal, premises = tower_query(rng, lg)
+            got = decide_fields(lg, goal, premises)
+            want = reference_decide(lg, goal, premises)
+            assert got["work"] <= want["work"], (lg.name, goal.text, premises)
+            assert got == dict(want, work=got["work"]), (lg.name, goal.text)
+            proof = prove(lg, goal, premises, use_derived=True,
+                          build_tree=False)
+            assert proof.proved is got["entailed"], (lg.name, goal.text)
+            for model in (got["countermodel"], proof.countermodel):
+                if model is not None:
+                    assert check_valuation(lg, dict(model.items())) == []
 
     def test_p8_work(self):
         lg = C(8)
