@@ -612,16 +612,6 @@ def expand_derived(logic, sf):
     return tuple(tuple(SignedFormula(l, f) for f, l in ext) for ext in exts)
 
 
-def _derived_set(logic, mask, f):
-    """The derived rule for a label set: the union of `_derived_raw`'s
-    extensions over its labels, with the one-pair extensions on one formula
-    merged into one pair holding their labels.  None when some label has no
-    derived rule, or when a merged pair allows every value (it then asks
-    nothing); () when no label has an extension (close now)."""
-    found = _derived(logic.family, logic.n, False, mask, f)
-    return None if found is None else found[0]
-
-
 # --------------------------------------------------------------------------
 # Branch closure
 

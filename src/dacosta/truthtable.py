@@ -48,9 +48,9 @@ from .formula import (VAR, NEG, CONS, CONN_NAMES, canonical_key,
 
 DEFAULT_MAX_ROWS = 5_000_000
 DEFAULT_MAX_WORK = 50_000_000
-# The run programs and the run shapes one logic keeps; past it the least
-# recently used goes (see _CellRules).
-MAX_RUN_SHAPES = 128
+# The one-input runs one logic keeps; past it the least recently used goes
+# (see _CellRules).
+MAX_RUNS = 128
 
 
 class Valuation:
@@ -204,13 +204,14 @@ class _CellRule:
 
 class _CellRules(dict):
     """The cell rules of one logic by (connective, conj hook, pow hook), and
-    the logic's shared one-input run programs and run tables.
+    the logic's shared one-input runs.
 
-    programs maps a run's key (_run_key) to (program, shape): the run's
-    inner steps, and their shape, which names the run's fills in runs
-    (run_table).  Each holds at most MAX_RUN_SHAPES entries, the least
-    recently used going first.  A program holds its fills by shape only, so
-    evicting a program or a fill table leaves the other exact.
+    runs maps a run's key (_run_key) to (steps, fills): the run's own steps
+    (_run_program) and their fills, x's class -> ((entries, pruned), work),
+    as _RunView makes them.  The steps follow from the key alone, and the
+    fills from the steps, so the key that names a run's steps names its
+    fills too.  It holds at most MAX_RUNS entries, the least recently used
+    going first with its fills.
     """
 
     def __init__(self, logic):
@@ -218,36 +219,15 @@ class _CellRules(dict):
         self.logic = logic
         self.forces_pow = any(v is not None
                               for v in algebra.forced_pow1_values(logic))
-        self.programs = OrderedDict()
         self.runs = OrderedDict()
 
     def __missing__(self, key):
         rule = self[key] = _CellRule(self.logic, *key)
         return rule
 
-    def run_table(self, shape):
-        """The shared table of the one-input runs whose inner steps have the
-        shape `shape` (see _steps): x's class -> ((entries, pruned), work),
-        as _RunView fills it."""
-        return _kept(self.runs, shape, dict)
-
-
-def _kept(table, key, make, *args):
-    """table[key], made by make(*args) if missing, in a table of at most
-    MAX_RUN_SHAPES entries whose least recently used entry goes first."""
-    entry = table.get(key)
-    if entry is None:
-        entry = table[key] = make(*args)
-        if len(table) > MAX_RUN_SHAPES:
-            table.popitem(last=False)
-    else:
-        table.move_to_end(key)
-    return entry
-
 
 # One entry per logic used; each grows only by the column kinds, roles, pairs
-# and input combinations that queries reach, and by at most MAX_RUN_SHAPES
-# run programs and run tables.
+# and input combinations that queries reach, and by at most MAX_RUNS runs.
 _cell_rules = lru_cache(maxsize=None)(_CellRules)
 
 
@@ -563,34 +543,34 @@ class _RunView(dict):
     pruned is the path-weighted count of the cell values the restriction
     forbids.
 
-    The fill depends on the run's steps alone, so it is stored in `shared`,
-    the logic's table of runs of the same shape (_CellRules.run_table), with
-    its work: the states of its frontiers but the first, which stands for
-    the states entering the run that hold this class, counted by the run
-    step already.  The first lookup of a class in a call charges that work
-    to the call's budget: filled here, the fill charges it as it goes, and
-    a fill that trips the cap stores nothing; read from `shared`, the stored
-    work is charged at once.  So a call's work, cap trip and results do not
-    depend on what the process decided before.
+    The fill depends on the run's steps alone, so it is stored in `fills`,
+    the logic's fills of the run, named by the key that names its steps
+    (_CellRules.runs), with its work: the states of its frontiers but the first, which stands
+    for the states entering the run that hold this class, counted by the
+    run step already.  The first lookup of a class in a call charges that
+    work to the call's budget: filled here, the fill charges it as it goes,
+    and a fill that trips the cap stores nothing; read from `fills`, the
+    stored work is charged at once.  So a call's work, cap trip and results
+    do not depend on what the process decided before.
     """
 
-    __slots__ = ("shared", "steps", "budget")
+    __slots__ = ("steps", "fills", "budget")
 
-    def __init__(self, shared, steps, budget):
+    def __init__(self, steps, fills, budget):
         super().__init__()
-        self.shared = shared
         self.steps = steps
+        self.fills = fills
         self.budget = budget
 
     def __missing__(self, inputs):
-        stored = self.shared.get(inputs)
+        stored = self.fills.get(inputs)
         if stored is None:
             self.budget.work -= 1
             frontier, frontiers, pruned = _forward(self.steps, {inputs: 1},
                                                    self.budget)
             entry = (tuple((tail, mult, _walk(self.steps, frontiers, tail))
                            for tail, mult in frontier.items()), pruned)
-            self.shared[inputs] = (entry, sum(map(len, frontiers)) - 1)
+            self.fills[inputs] = (entry, sum(map(len, frontiers)) - 1)
         else:
             entry, work = stored
             self.budget.spend(work)
@@ -678,7 +658,7 @@ def _runs(plan):
 
 
 def _run_key(plan, i, j):
-    """What the run i..j reads, which its program follows from: reps[j],
+    """What the run i..j reads, which its steps follow from: reps[j],
     which the readers after the run decide, then each column's cell rule
     followed by the offsets c - s at which column c reads its sources.
 
@@ -697,33 +677,31 @@ def _run_key(plan, i, j):
 
 
 def _run_program(plan, i, j, x, x_last, last):
-    """The steps of the run i..j over x (see _runs), entering with x's slot
-    alone, and their shape."""
+    """The logic's new entry for the run i..j over x (see _runs): its steps,
+    entering with x's slot alone, and no fills yet."""
     inner = {c: last[c] for c in range(i, j)}
     inner[x] = x_last
     inner[j] = j + 1  # the run's last column survives its run
-    return _steps(plan, i, j, [x], inner, {}, None)
+    return _steps(plan, i, j, [x], inner, {}, None), {}
 
 
 def _steps(plan, lo, hi, alive, last, runs, budget):
-    """The steps over the columns lo..hi, entering with the slots `alive`,
-    and their shape.
+    """The steps over the columns lo..hi, entering with the slots `alive`.
 
     alive names the slots of the state entering a step, in the order they
     were appended, so a slot's position in the state is its index there.
     A step runs as (table, input getter, getter of the kept slots), each
-    getter reading its positions in the state entering the step, and its
-    shape entry is (id(table), input positions, kept positions).  A step
+    getter reading its positions in the state entering the step.  A step
     covers one column, a pair, or a run of `runs`, whose per-call view
-    (_RunView) charges `budget`.  A run's own steps (_run_program) are
-    looked up in the logic's programs by what the run reads (_run_key),
-    and built only when that key is new.  `last` is plan.last, or in a
+    (_RunView) charges `budget`.  A run's steps and fills are looked up in
+    the logic's runs by what the run reads (_run_key, _CellRules), and its
+    steps built only when that key is new.  `last` is plan.last, or in a
     run's own steps the run's last readers.  Only a premise or goal column
     can be read by no later column, and only its step reads and replaces
     the flag.
     """
     roles, reps = plan.roles, plan.reps
-    steps, shape = [], []
+    steps = []
     i = lo
     while i <= hi:
         rule, srcs = plan.entries[i]
@@ -734,13 +712,15 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
         if i in runs and len(alive) > 2:
             j, x, x_last = runs[i]
             reads = [x]
-            program, program_shape = _kept(plan.rules.programs,
-                                           _run_key(plan, i, j), _run_program,
-                                           plan, i, j, x, x_last, last)
-            # The inner tables live as long as plan.rules, which holds the
-            # shared run tables, so their ids name them there.
-            table = _RunView(plan.rules.run_table(program_shape), program,
-                             budget)
+            held, key = plan.rules.runs, _run_key(plan, i, j)
+            entry = held.get(key)
+            if entry is None:
+                entry = held[key] = _run_program(plan, i, j, x, x_last, last)
+                if len(held) > MAX_RUNS:
+                    held.popitem(last=False)
+            else:
+                held.move_to_end(key)
+            table = _RunView(*entry, budget)
         elif i < hi and not role and last[i] == i + 1 and i + 1 not in roles:
             j = i + 1
             reader, reader_srcs = plan.entries[j]
@@ -756,10 +736,9 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
         slot = alive.index
         ins, keep = tuple(map(slot, reads)), tuple(map(slot, kept))
         steps.append((table, _getter(ins), _getter(keep)))
-        shape.append((id(table), ins, keep))
         alive = kept + ([j] if last[j] > j else []) + ([_FLAG] if role else [])
         i = j + 1
-    return steps, tuple(shape)
+    return steps
 
 
 def _forward(steps, frontier, budget):
@@ -840,20 +819,17 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     from outside, and but for the last are read only inside the block, such
     as the tower x^1, ..., x^(n) over its base.  Its table maps x's class to
     the run's last column's classes, filled per class by the same steps and
-    forward loop (_forward) from the state (x's class,).  The fills are
-    shared by every query of the logic whose run has the same steps, in at
-    most MAX_RUN_SHAPES tables by run shape (_CellRules.run_table); the
-    call sees them through a view of its own that charges a fill's work on
-    the call's first lookup of the class, so work and the max_work trip are
-    those of a fresh process.  The steps are kept too, in at most
-    MAX_RUN_SHAPES programs per logic keyed by what the run reads: its
+    forward loop (_forward) from the state (x's class,).  Steps and fills
+    are shared by every query of the logic whose run reads alike: its
     cells, the offsets at which they read, and its last column's class map
-    (_run_key); a run whose key the logic holds builds no step.  That is
-    exact: no column outside the run reads its interior, and x's slot
-    already holds the meet of all its readers' classes, the run's among
-    them, so every value of the class gives the run the same cells.  The
-    fill is the same whichever query makes it, since the shape names the
-    tables and slot positions it runs.
+    (_run_key), which name one entry of at most MAX_RUNS per logic
+    (_CellRules.runs); a run whose key the logic holds builds no step.
+    That is exact: no column outside the run reads its interior, and x's
+    slot already holds the meet of all its readers' classes, the run's
+    among them, so every value of the class gives the run the same cells.
+    The call sees the fills through a view of its own that charges a fill's
+    work on the call's first lookup of the class, so work and the max_work
+    trip are those of a fresh process.
     A run is taken only where the state entering it holds a slot besides x
     and the flag, which plain steps would carry through every column of the
     block; elsewhere it could only lose the merging of x's classes after
@@ -884,8 +860,8 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     order = postorder(goal, *premises)
     plan = _Plan(logic, order, goal, premises)
     budget = _Budget(max_work)
-    steps, _ = _steps(plan, 0, len(order) - 1, [_FLAG], plan.last,
-                      _runs(plan), budget)
+    steps = _steps(plan, 0, len(order) - 1, [_FLAG], plan.last, _runs(plan),
+                   budget)
     frontier, frontiers, pruned_paths = _forward(steps, {(_START,): 1}, budget)
 
     # the last column is a premise or the goal, so a final state is (flag,)

@@ -564,8 +564,11 @@ class TestEmitFiles:
 
 
 # Goals for the no-traceback matrix: valid, invalid, a syntax error, a
-# connective outside C1's signature, and a goal past both caps of the run.
-ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p",
+# connective outside C1's signature, an exponent past the bound, an
+# unexpected character, Unicode connectives (invalid in C1), the end of
+# input, an empty group, and a goal past both caps of the run.
+ROBUST_GOALS = ["p -> p", "p & q", "p | (q", "@p -> p", "p^100", "p $ q",
+                "p ∧ ¬p → q", "p ->", "()",
                 "(p | q) & (r | s) & (t | u) -> (q | p) & (s | r) & (u | t)"]
 
 
@@ -590,7 +593,8 @@ class TestNoTraceback:
             assert proc.returncode in {0, 1, 2, 3}
             codes.append(proc.returncode)
         # the batch exits with its worst line, the cap
-        assert codes == ([3] if mode == "stdin" else [0, 1, 2, 2, 3])
+        assert codes == ([3] if mode == "stdin"
+                         else [0, 1, 2, 2, 2, 2, 1, 2, 2, 3])
 
 
 def cli_module(monkeypatch, *argv):

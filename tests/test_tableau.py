@@ -39,7 +39,6 @@ from dacosta.tableau import (
     _derived,
     _derived_raw,
     _derived_rule,
-    _derived_set,
     _factor,
     _factored_table,
     _merge_pairs,
@@ -302,12 +301,12 @@ class TestSetRuleCoherence:
             for mask in range(1, (1 << dom)):
                 per_label = [_derived_raw(lg, v, f) for v in range(dom)
                              if mask >> v & 1]
-                got = _derived_set(lg, mask, f)
+                found = _derived(lg.family, lg.n, False, mask, f)
                 if any(exts is None for exts in per_label):
-                    assert got is None, (f.text, mask)
+                    assert found is None, (f.text, mask)
                     continue
                 want = {frozenset(ext) for exts in per_label for ext in exts}
-                if got is None:
+                if found is None:
                     # The one-pair extensions on some formula allow every value.
                     singles = {}
                     for ext in want:
@@ -317,7 +316,7 @@ class TestSetRuleCoherence:
                     assert set(range(dom)) in singles.values(), (f.text, mask)
                     continue
                 spelled = {frozenset(zip([g for g, _ in ext], labels))
-                           for ext in got for labels in itertools.product(
+                           for ext in found[0] for labels in itertools.product(
                                *[[v for v in range(dom) if s >> v & 1]
                                  for _, s in ext])}
                 assert spelled == want, (f.text, mask)
@@ -417,19 +416,18 @@ class TestDerivedTables:
                     assert factored == _factor(tuple(map(_as_sets, want))), (run, f.text, v)
             for f, mask in sets[::step]:
                 want = reference_derived_set(lg, mask, f)
-                assert _derived_set(lg, mask, f) == want, (run, f.text, mask)
+                found = _derived(lg.family, lg.n, False, mask, f)
                 if want is not None:
-                    factored = _derived(lg.family, lg.n, False, mask, f)[1]
-                    assert factored == _factor(want), (run, f.text, mask)
+                    want = want, _factor(want)
+                assert found == want, (run, f.text, mask)
 
     def test_shapeless_formulas_and_mbccl_skip_the_table(self):
         _derived_rule.cache_clear()
-        for f in (And(X, Y), Neg(X), Imp(pow(X, 1), X), Or(pow(X, 1), X)):
-            assert _derived_set(C(2), 3, f) is None
-            assert _derived_raw(C(2), 0, f) is None
-        for f in self.formulas(1):
-            assert _derived_set(MBCCL, 3, f) is None
-            assert _derived_raw(MBCCL, 0, f) is None
+        shapeless = (And(X, Y), Neg(X), Imp(pow(X, 1), X), Or(pow(X, 1), X))
+        for lg, forms in ((C(2), shapeless), (MBCCL, self.formulas(1))):
+            for f in forms:
+                assert _derived(lg.family, lg.n, False, 3, f) is None
+                assert _derived_raw(lg, 0, f) is None
         info = _derived_rule.cache_info()
         assert info.hits == info.misses == 0
 

@@ -662,12 +662,13 @@ def decide_fields(lg, goal, premises=()):
     return fields
 
 
-def tower_instances():
-    """(logic, instance) for bc_n, dc_n and P_n in C2-C5, over the atoms p, q
-    and over one seeded pair of 1-connective substituents."""
+def tower_instances(ns=range(2, 6)):
+    """(logic, instance) for bc_n, dc_n and P_n in C_n for n in `ns` (C2-C5
+    by default), over the atoms p, q and over one seeded pair of
+    1-connective substituents."""
     rng = random.Random(31)
     out = []
-    for n in range(2, 6):
+    for n in ns:
         lg = C(n)
         for name in ("bc", "dc", "P"):
             schema = axioms.schema_by_name(lg, f"{name}_{n}")
@@ -889,11 +890,13 @@ class TestOneInputRuns:
 
     def test_results_do_not_depend_on_shared_tables(self, run_fills,
                                                      run_builds):
-        # Run programs and tables are shared across calls; a call's figures
-        # and countermodel must be those of a fresh process whatever they
-        # hold: cleared, warm, either one cleared, or filled by the queries
-        # after it.
-        cases = [(lg, f, ()) for lg, f in tower_instances()] + \
+        # Runs are shared across calls; a call's figures and countermodel
+        # must be those of a fresh process whatever the logic holds:
+        # nothing, warm runs, runs cleared, or runs filled by the queries
+        # after it.  The C6-C8 towers are the longest runs; the reference
+        # DP's frontiers are too wide there, so the tableau checks them.
+        longest = [(lg, f, ()) for lg, f in tower_instances(range(6, 9))]
+        cases = [(lg, f, ()) for lg, f in tower_instances()] + longest + \
             tower_goals(140, 19) + benchmark_blocks(2)
         logics = {lg for lg, _, _ in cases}
 
@@ -901,13 +904,9 @@ class TestOneInputRuns:
             return {i: decide_fields(*cases[i]) for i in order}
 
         def held():
-            return {lg: {shape: dict(table) for shape, table
+            return {lg: {key: dict(fills) for key, (_, fills)
                          in truthtable._cell_rules(lg).runs.items()}
                     for lg in logics}
-
-        def clear(name):
-            for lg in logics:
-                getattr(truthtable._cell_rules(lg), name).clear()
 
         truthtable._cell_rules.cache_clear()
         cold = answers(range(len(cases)))
@@ -916,44 +915,48 @@ class TestOneInputRuns:
         run_builds.clear()
         assert answers(range(len(cases))) == cold
         assert held() == filled  # the warm run filled nothing
-        assert run_builds == []  # and built no program
-        clear("programs")
+        assert run_builds == []  # and built no run
+        for lg in logics:
+            truthtable._cell_rules(lg).runs.clear()
         assert answers(range(len(cases))) == cold
         assert held() == filled and run_builds
-        run_builds.clear()
-        clear("runs")
-        assert answers(range(len(cases))) == cold
-        assert held() == filled and run_builds == []
         truthtable._cell_rules.cache_clear()
         assert answers(reversed(range(len(cases)))) == cold
+        for case in longest:
+            got = cold[cases.index(case)]
+            proof = prove(*case, use_derived=True, build_tree=False)
+            assert got["entailed"] and proof.proved, (case[0].name, case[1].text)
 
     def test_programs_are_keyed_by_what_runs_read(self, run_builds):
         # The tower p^(3) over p and over q & r, starting at columns 2 and
-        # 4, reads alike and shares one program and one fill table.  p^2
+        # 4, reads alike and shares one run entry, steps and fills.  p^2
         # read as the base of p^3 and read by a conjunction is the same run
-        # with another class map on its last column, so another program.
+        # with another class map on its last column, so another entry.
         p, q, r, s = Var("p"), Var("q"), Var("r"), Var("s")
         shared = [(Imp(q, Imp(powseq(p, 3), r)), ()),
                   (Imp(s, Imp(powseq(And(q, r), 3), p)), ())]
         apart = [(r, (pow(p, 3), Or(r, q))),
                  (r, (And(pow(p, 2), r), Or(r, q)))]
-        for cases, programs in ((shared, 1), (apart, 2)):
+        for cases, entries in ((shared, 1), (apart, 2)):
             truthtable._cell_rules.cache_clear()
             run_builds.clear()
             for goal, premises in cases:
                 got = decide_fields(C3, goal, premises)
                 assert got == dict(reference_decide(C3, goal, premises),
                                    work=got["work"])
-            rules = truthtable._cell_rules(C3)
-            assert len(run_builds) == len(rules.programs) == len(rules.runs) \
-                == programs
+            assert len(run_builds) == len(truthtable._cell_rules(C3).runs) \
+                == entries
         assert [j - i for i, j in run_builds] == [5, 5]
 
     def test_cap_boundary_cold_and_warm(self, run_fills):
-        # A cap that trips inside a fill stores nothing, so the next call
-        # reports the work of a fresh process; a warm call charges a stored
-        # fill's work at once and trips at the same cap.
+        # A cap that trips inside a fill stores nothing in the run's entry,
+        # so the next call reports the work of a fresh process; a warm call
+        # charges a stored fill's work at once and trips at the same cap.
         lg, goal = C3, parse("q -> p^(3) -> r")
+
+        def stored():
+            return [fills for _, fills in truthtable._cell_rules(lg).runs.values()]
+
         truthtable._cell_rules.cache_clear()
         work = decide(lg, goal).stats["work"]
         inside_fill = 0
@@ -962,8 +965,8 @@ class TestOneInputRuns:
             run_fills.clear()
             with pytest.raises(ResourceLimitError, match=f"exceeded {cap} "):
                 decide(lg, goal, max_work=cap)
-            runs = truthtable._cell_rules(lg).runs
-            inside_fill += bool(run_fills) and not any(runs.values())
+            held = stored()
+            inside_fill += bool(run_fills and held) and not any(held)
             assert decide(lg, goal, max_work=work).stats["work"] == work
         assert inside_fill > 0
         for cache in ("cold", "warm"):
@@ -974,28 +977,26 @@ class TestOneInputRuns:
             run_fills.clear()
             assert decide(lg, goal, max_work=work).stats["work"] == work
             assert run_fills, cache
-        assert all(truthtable._cell_rules(lg).runs.values())
+        assert stored() and all(stored())
 
     def test_shared_tables_are_bounded(self, monkeypatch):
-        # More run shapes than the bound: the least recently used go, and no
-        # answer moves.
+        # More runs than the bound: the least recently used go with their
+        # fills, and no answer moves.
         cases = [(lg, f, ()) for lg, f in tower_instances()] + tower_goals(140, 23)
         truthtable._cell_rules.cache_clear()
         want = [decide_fields(*case) for case in cases]
         bound = 3
-        monkeypatch.setattr(truthtable, "MAX_RUN_SHAPES", bound)
+        monkeypatch.setattr(truthtable, "MAX_RUNS", bound)
         truthtable._cell_rules.cache_clear()
-        shapes, keys = set(), set()
+        keys = set()
         for case, expected in zip(cases, want):
             assert decide_fields(*case) == expected
-            rules = truthtable._cell_rules(case[0])
-            assert len(rules.runs) <= bound and len(rules.programs) <= bound
-            shapes.update((case[0], shape) for shape in rules.runs)
-            keys.update((case[0], key) for key in rules.programs)
-        for held in (shapes, keys):
-            assert len({lg for lg, _ in held}) > 1
-            assert max(sum(lg == other for other, _ in held)
-                       for lg, _ in held) > bound
+            runs = truthtable._cell_rules(case[0]).runs
+            assert len(runs) <= bound
+            keys.update((case[0], key) for key in runs)
+        assert len({lg for lg, _ in keys}) > 1
+        assert max(sum(lg == other for other, _ in keys)
+                   for lg, _ in keys) > bound
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
