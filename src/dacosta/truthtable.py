@@ -24,7 +24,8 @@ Two engines share this semantics:
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; a query's _Plan lists each
-column's cell rule and inputs, and the DP's successor, pair and run tables
+column's cell rule and inputs, and the DP's four kinds of step table
+(column, pair, one-input run, and a run with its input column summed in)
 and value classes are derived from them.
 
 Verdicts, live-row counts and countermodel existence are order-independent
@@ -206,12 +207,16 @@ class _CellRules(dict):
     """The cell rules of one logic by (connective, conj hook, pow hook), and
     the logic's shared one-input runs.
 
-    runs maps a run's key (_run_key) to (steps, fills): the run's own steps
-    (_run_program) and their fills, x's class -> ((entries, pruned), work),
-    as _RunView makes them.  The steps follow from the key alone, and the
-    fills from the steps, so the key that names a run's steps names its
-    fills too.  It holds at most MAX_RUNS entries, the least recently used
-    going first with its fills.
+    runs maps a run's key (_run_key) to (steps, fills, sums): the run's own
+    steps (_run_program); their fills, x's class -> ((entries, pruned),
+    work), as _RunView makes them; and the sums of x into the run, x's cell
+    rule -> {x's inputs: ((entries, pruned), the classes of x read)}, as
+    _SumView makes them.  The steps follow from the key alone, the fills
+    from the steps, and the sums from the fills and x's rule (a sum forms
+    only where the run alone reads x, so the key fixes x's class map): the
+    key that names a run's steps names its fills and sums too.  It holds at
+    most MAX_RUNS entries, the least recently used going first with its
+    fills and sums.
     """
 
     def __init__(self, logic):
@@ -545,13 +550,16 @@ class _RunView(dict):
 
     The fill depends on the run's steps alone, so it is stored in `fills`,
     the logic's fills of the run, named by the key that names its steps
-    (_CellRules.runs), with its work: the states of its frontiers but the first, which stands
-    for the states entering the run that hold this class, counted by the
-    run step already.  The first lookup of a class in a call charges that
-    work to the call's budget: filled here, the fill charges it as it goes,
-    and a fill that trips the cap stores nothing; read from `fills`, the
-    stored work is charged at once.  So a call's work, cap trip and results
-    do not depend on what the process decided before.
+    (_CellRules.runs), with its work: the states of its frontiers but the
+    first, which stands for the states entering the run that hold this
+    class, counted by the step that reads the run already.  The first
+    lookup of a class in a call charges that work to the call's budget:
+    filled here, the fill charges it as it goes, and a fill that trips the
+    cap stores nothing; read from `fills`, the stored work is charged at
+    once.  So a call's work, cap trip and results do not depend on what the
+    process decided before.  The step is the run's own, or the step of the
+    column x summed into the run (_SumView), which reads the run through
+    this view too.
     """
 
     __slots__ = ("steps", "fills", "budget")
@@ -574,6 +582,54 @@ class _RunView(dict):
         else:
             entry, work = stored
             self.budget.spend(work)
+        self[inputs] = entry
+        return entry
+
+
+class _SumView(dict):
+    """Successor table of a column x summed into the one-input run over it,
+    as one decide call sees it.
+
+    x is plain and read by the run alone, so it never gets a slot.  The
+    table maps x's inputs to (entries, pruned).  Entries are the merged
+    (tail, m1 * m2, (u,) + values) over x's entries ((c,), m1, (u,)) in cell
+    order (`column`, x's _Successors table under its class map), then the
+    run's entries (tail, m2, values) at (c,); pruned is x's own count plus
+    m1 times the run's at (c,).
+
+    They depend on x's cell rule and the run's steps alone (the run's key
+    fixes x's class map, since only the run reads x), so they are stored in
+    `sums`, the run entry's table for x's rule (_CellRules.runs), with the
+    classes they read.  The first lookup of inputs in a call reads each of
+    those classes through `run`, the call's _RunView, so the fills' work is
+    charged, and the cap trips, as if the call summed them itself.  A fill
+    that trips the cap stores neither itself nor the sum.
+    """
+
+    __slots__ = ("column", "run", "sums")
+
+    def __init__(self, column, run, sums):
+        super().__init__()
+        self.column = column
+        self.run = run
+        self.sums = sums
+
+    def __missing__(self, inputs):
+        run, stored = self.run, self.sums.get(inputs)
+        if stored is None:
+            firsts, pruned = self.column[inputs]
+            triples = []
+            for tail, first_mult, (u,) in firsts:
+                entries, npruned = run[tail]
+                pruned += first_mult * npruned
+                triples += [(run_tail, first_mult * mult, (u,) + values)
+                            for run_tail, mult, values in entries]
+            entry = (_merged(triples), pruned)
+            self.sums[inputs] = (entry, tuple(tail for tail, _, _ in firsts))
+        else:
+            entry, classes = stored
+            for tail in classes:
+                run[tail]
         self[inputs] = entry
         return entry
 
@@ -678,11 +734,27 @@ def _run_key(plan, i, j):
 
 def _run_program(plan, i, j, x, x_last, last):
     """The logic's new entry for the run i..j over x (see _runs): its steps,
-    entering with x's slot alone, and no fills yet."""
+    entering with x's slot alone, and no fills or sums yet."""
     inner = {c: last[c] for c in range(i, j)}
     inner[x] = x_last
     inner[j] = j + 1  # the run's last column survives its run
-    return _steps(plan, i, j, [x], inner, {}, None), {}
+    return _steps(plan, i, j, [x], inner, {}, None), {}, {}
+
+
+def _run_entry(plan, i, run, last):
+    """The logic's entry (steps, fills, sums) for the run at i, run = (end,
+    x, x_last) as in _runs: built only when its key (_run_key) is new, and
+    made the most recently used."""
+    j, x, x_last = run
+    held, key = plan.rules.runs, _run_key(plan, i, j)
+    entry = held.get(key)
+    if entry is None:
+        entry = held[key] = _run_program(plan, i, j, x, x_last, last)
+        if len(held) > MAX_RUNS:
+            held.popitem(last=False)
+    else:
+        held.move_to_end(key)
+    return entry
 
 
 def _steps(plan, lo, hi, alive, last, runs, budget):
@@ -692,13 +764,18 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
     were appended, so a slot's position in the state is its index there.
     A step runs as (table, input getter, getter of the kept slots), each
     getter reading its positions in the state entering the step.  A step
-    covers one column, a pair, or a run of `runs`, whose per-call view
-    (_RunView) charges `budget`.  A run's steps and fills are looked up in
-    the logic's runs by what the run reads (_run_key, _CellRules), and its
-    steps built only when that key is new.  `last` is plan.last, or in a
-    run's own steps the run's last readers.  Only a premise or goal column
-    can be read by no later column, and only its step reads and replaces
-    the flag.
+    covers one column, a pair, a run of `runs`, or a run with the column x
+    before it, which the run alone reads, summed in (_SumView); a run's
+    per-call view (_RunView) charges `budget`.  A run's steps, fills and
+    sums are looked up in the logic's runs by what the run reads
+    (_run_entry), and its steps built only when that key is new.  A pair
+    takes x when only the run's first column reads it: summing x into the
+    run there lowers the total work, but raised it by 1-4 on four small
+    mbCcl and Cila goals of the benchmark's seed-7 blocks, where the run's
+    fills cost more than the pair's merged classes save.  `last` is
+    plan.last, or in a run's own steps the run's last readers.  Only a
+    premise or goal column can be read by no later column, and only its
+    step reads and replaces the flag.
     """
     roles, reps = plan.roles, plan.reps
     steps = []
@@ -710,23 +787,27 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
         # x's last reader, where column steps would merge them; it gains only
         # by not carrying other slots than x and the flag through the block.
         if i in runs and len(alive) > 2:
-            j, x, x_last = runs[i]
+            j, x, _ = runs[i]
             reads = [x]
-            held, key = plan.rules.runs, _run_key(plan, i, j)
-            entry = held.get(key)
-            if entry is None:
-                entry = held[key] = _run_program(plan, i, j, x, x_last, last)
-                if len(held) > MAX_RUNS:
-                    held.popitem(last=False)
-            else:
-                held.move_to_end(key)
-            table = _RunView(*entry, budget)
+            run_steps, fills, _ = _run_entry(plan, i, runs[i], last)
+            table = _RunView(run_steps, fills, budget)
         elif i < hi and not role and last[i] == i + 1 and i + 1 not in roles:
             j = i + 1
             reader, reader_srcs = plan.entries[j]
             positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
             reads = srcs + tuple(s for s in reader_srcs if s != i)
             table = reader.pair_table(rule, len(srcs), positions, reps[j])
+        elif (i + 1 in runs and runs[i + 1][1] == i and not role
+              and last[i] <= runs[i + 1][0]
+              and any(p != _FLAG and last[p] > i for p in alive)):
+            # Column i is the x of the run after it, which alone reads it,
+            # and the state entering the run would hold another slot.
+            j = runs[i + 1][0]
+            reads = srcs
+            run_steps, fills, sums = _run_entry(plan, i + 1, runs[i + 1], last)
+            table = _SumView(rule.successor_table(False, False, True, reps[i]),
+                             _RunView(run_steps, fills, budget),
+                             sums.setdefault(rule, {}))
         else:
             j = i
             reads = srcs + (_FLAG,) if role else srcs
@@ -833,7 +914,14 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     A run is taken only where the state entering it holds a slot besides x
     and the flag, which plain steps would carry through every column of the
     block; elsewhere it could only lose the merging of x's classes after
-    x's last reader.
+    x's last reader.  The fourth step is such a run with x summed in (see
+    _SumView): where x is the column just before the run, plain, read by
+    the run alone and not only by its first column (a pair takes that x),
+    x's step and the run's are one, keyed by x's inputs, so x's classes,
+    which the run maps to its last column's anyway, never make a frontier;
+    the tower (A & B)^(n) over a compound A & B is one.  Its entries are
+    shared in the run's entry too, and a call charges the fills they read
+    as the run step does.
 
     The frontier entering every step is kept.  The countermodel is walked
     back from the final state (_VIOLATED,) (_walk): at each step it takes
@@ -849,9 +937,10 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     (rows_live), the rows cut by the restriction in this column order
     (rows_discarded), their sum (rows_total, as in build_table), and the
     states of the frontiers the steps expand (work), a run's own frontiers
-    included once per class of x but for their first state, which the run
-    step has counted, whether the call filled the class or found it filled;
-    a summed-out column adds none, and the values of one class make one
+    included once per class of x but for their first state, which the step
+    that reads the run has counted, whether the call filled the class or
+    found it filled; a summed-out column (a pair's first, or a run's input
+    x summed into the run) adds none, and the values of one class make one
     state.  Raises ResourceLimitError as soon as `work` would exceed
     `max_work`; stored fills change neither whether nor where it trips.
     """

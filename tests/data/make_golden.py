@@ -52,7 +52,11 @@ DECIDE_ABOUT = (
     "earlier column x alone and, but the last, are read only inside the run, "
     "entered with a slot besides x and the flag) is one step whose table is "
     "filled per class of x by the run's own steps, which count every state "
-    "but their first. countermodel maps formula text to value index.")
+    "but their first; a plain column x read by the run over it alone, which "
+    "is not read only by the next column, is summed into that run's step "
+    "(the state entering the run would hold a slot besides x and the flag), "
+    "so x adds no frontier and the fills it reaches count as the run's do. "
+    "countermodel maps formula text to value index.")
 DECIDE_MAX = {"C1": 8, "C2": 7, "C3": 6, "C4": 5, "mbCcl": 8, "Cila": 8}
 
 PROVE_ABOUT = (

@@ -62,21 +62,36 @@ def run_builds(monkeypatch):
     return builds
 
 
+def lookups(monkeypatch, view):
+    """The inputs of every per-call lookup that misses the table class
+    `view` while the test runs, in order."""
+    seen = []
+    missing = view.__missing__
+
+    def counting(table, inputs):
+        seen.append(inputs)
+        return missing(table, inputs)
+
+    monkeypatch.setattr(view, "__missing__", counting)
+    return seen
+
+
 @pytest.fixture
 def run_fills(monkeypatch):
     """The per-call lookups of one-input run tables while the test runs:
     one per run step and class of its input in each decide call, whether
     the logic's shared run tables held the class or it was filled then.
     So it counts the runs that formed, whatever earlier tests decided."""
-    fills = []
-    missing = truthtable._RunView.__missing__
+    return lookups(monkeypatch, truthtable._RunView)
 
-    def counting(view, inputs):
-        fills.append(inputs)
-        return missing(view, inputs)
 
-    monkeypatch.setattr(truthtable._RunView, "__missing__", counting)
-    return fills
+@pytest.fixture
+def sum_lookups(monkeypatch):
+    """The per-call lookups of columns summed into the one-input run over
+    them while the test runs: one per such step and input of the column in
+    each decide call, whether the run's entry held the sum or it was summed
+    then."""
+    return lookups(monkeypatch, truthtable._SumView)
 
 
 class TestFlagshipTable:
@@ -904,14 +919,24 @@ class TestOneInputRuns:
             return {i: decide_fields(*cases[i]) for i in order}
 
         def held():
-            return {lg: {key: dict(fills) for key, (_, fills)
-                         in truthtable._cell_rules(lg).runs.items()}
-                    for lg in logics}
+            # each cell rule named by its key, so entries compare across
+            # cache_clear()
+            out = {}
+            for lg in logics:
+                rules = truthtable._cell_rules(lg)
+                name = {id(rule): key for key, rule in rules.items()}
+                out[lg] = {tuple(name.get(id(part), part) for part in key):
+                           (dict(fills), {name[id(rule)]: dict(table)
+                                          for rule, table in sums.items()})
+                           for key, (_, fills, sums) in rules.runs.items()}
+            return out
 
         truthtable._cell_rules.cache_clear()
         cold = answers(range(len(cases)))
         filled = held()
         assert run_fills and any(filled.values()) and run_builds
+        assert any(any(sums.values()) for runs in filled.values()
+                   for _, sums in runs.values())
         run_builds.clear()
         assert answers(range(len(cases))) == cold
         assert held() == filled  # the warm run filled nothing
@@ -922,6 +947,7 @@ class TestOneInputRuns:
         assert held() == filled and run_builds
         truthtable._cell_rules.cache_clear()
         assert answers(reversed(range(len(cases)))) == cold
+        assert held() == filled
         for case in longest:
             got = cold[cases.index(case)]
             proof = prove(*case, use_derived=True, build_tree=False)
@@ -948,36 +974,67 @@ class TestOneInputRuns:
                 == entries
         assert [j - i for i, j in run_builds] == [5, 5]
 
-    def test_cap_boundary_cold_and_warm(self, run_fills):
-        # A cap that trips inside a fill stores nothing in the run's entry,
-        # so the next call reports the work of a fresh process; a warm call
-        # charges a stored fill's work at once and trips at the same cap.
-        lg, goal = C3, parse("q -> p^(3) -> r")
+    def test_cap_boundary_cold_and_warm(self, run_fills, sum_lookups):
+        # p & r is summed into the run over it.  A cap that trips inside a
+        # fill reached through that sum stores neither the fill nor the sum,
+        # so what the run's entry holds is whole and the next call reports
+        # the work of a fresh process; a warm call charges a stored fill's
+        # work at once and trips at the same cap.
+        lg, goal = C3, parse("q -> (p & r)^(3) -> r")
 
         def stored():
-            return [fills for _, fills in truthtable._cell_rules(lg).runs.values()]
+            return [(dict(fills), [dict(held) for held in sums.values()])
+                    for _, fills, sums in truthtable._cell_rules(lg).runs.values()]
 
         truthtable._cell_rules.cache_clear()
         work = decide(lg, goal).stats["work"]
-        inside_fill = 0
+        [(all_fills, all_sums)] = stored()
+        inside_sum = 0
         for cap in range(work):
             truthtable._cell_rules.cache_clear()
             run_fills.clear()
+            sum_lookups.clear()
             with pytest.raises(ResourceLimitError, match=f"exceeded {cap} "):
                 decide(lg, goal, max_work=cap)
-            held = stored()
-            inside_fill += bool(run_fills and held) and not any(held)
+            for fills, sums in stored():
+                assert fills.items() <= all_fills.items()
+                assert all(held.items() <= all_held.items()
+                           for held, all_held in zip(sums, all_sums))
+                summed = sum(map(len, sums))
+                if len(sum_lookups) > summed:
+                    # the last sum looked up stopped in the last fill
+                    assert len(run_fills) == len(fills) + 1
+                    inside_sum += 1
             assert decide(lg, goal, max_work=work).stats["work"] == work
-        assert inside_fill > 0
+        assert inside_sum > 0
         for cache in ("cold", "warm"):
             if cache == "cold":
                 truthtable._cell_rules.cache_clear()
             with pytest.raises(ResourceLimitError, match=f"exceeded {work - 1} "):
                 decide(lg, goal, max_work=work - 1)
             run_fills.clear()
+            sum_lookups.clear()
             assert decide(lg, goal, max_work=work).stats["work"] == work
-            assert run_fills, cache
-        assert stored() and all(stored())
+            assert run_fills and sum_lookups, cache
+        assert stored() == [(all_fills, all_sums)]
+
+    def test_run_input_summed_into_the_run(self, run_fills, sum_lookups):
+        # p & r is read by the run (p & r)^(3) alone, which q's slot
+        # enters: p & r is summed into the run's step and gets no slot.
+        # Column by column, with the run, this took 115 and 129 work.
+        p, q, r = Var("p"), Var("q"), Var("r")
+        goal = Imp(q, Imp(powseq(And(p, r), 3), r))
+        for lg, work in ((C2, 88), (C3, 96)):
+            run_fills.clear()
+            sum_lookups.clear()
+            got, want = decide_fields(lg, goal), reference_decide(lg, goal)
+            # one lookup per pair of classes of p and r, each reading the
+            # run at the classes of p & r
+            assert len(sum_lookups) == len(set(sum_lookups)) > 1
+            assert run_fills
+            assert got == dict(want, work=work)
+            assert not got["entailed"]
+            assert check_valuation(lg, got["countermodel"]) == []
 
     def test_shared_tables_are_bounded(self, monkeypatch):
         # More runs than the bound: the least recently used go with their
@@ -1024,8 +1081,9 @@ class TestOneInputRuns:
         f = axioms.instantiate(axioms.schema_by_name(lg, "P_8"),
                                {"A": Var("p"), "B": Var("q")})
         res = decide(lg, f)
-        # 60,079 states when every tower column stood in the frontier
-        assert res.entailed and res.stats["work"] <= 6_000
+        # 60,079 states when every tower column stood in the frontier, and
+        # 4,771 before a run's input column was summed into the run's step
+        assert res.entailed and res.stats["work"] <= 2_500
 
 
 class TestDecideGolden:
