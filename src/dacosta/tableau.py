@@ -352,12 +352,6 @@ def expand(logic, sf):
     return tuple(tuple(SignedFormula(l, f) for f, l in ext) for ext in exts)
 
 
-def _resolve(template, f):
-    """Template extensions with each side index replaced by f's argument."""
-    sides = (f.left, f.right)
-    return tuple([tuple([(sides[s], l) for s, l in ext]) for ext in template])
-
-
 def _expand_raw(logic, label, f):
     """Extensions as tuples of (formula, label), or None for atoms."""
     if f.kind == VAR:
@@ -365,7 +359,7 @@ def _expand_raw(logic, label, f):
     template = _rule_table(logic.family, logic.n).get((label, f.kind))
     if template is None:
         raise ValueError(f"no rule for label {label} on {f.text} in {logic.name}")
-    return _resolve(template, f)
+    return _substitute(template, (f.left, f.right))
 
 
 # --------------------------------------------------------------------------
@@ -964,20 +958,22 @@ def prove(logic, goal, premises=(), use_derived=False, stop_on_open=True,
             return None
         template, factored = rule
         derived = _derived(family, n, build_tree, s, f) if use_derived else None
+        sides = (f.left, f.right)
         if not build_tree and f.left is f.right:
             # merging the pairs of a bulk A op A can leave fewer extensions
             # than the template has entries, so they are counted first
-            exts = _merge_pairs(_resolve(template, f))
+            exts = _merge_pairs(_substitute(template, sides))
             if derived is not None and len(derived[0]) <= len(exts):
                 return derived[0], True, derived[1]
             return exts, False, _factor(exts)
-        # _resolve gives one extension per template entry
+        # _substitute gives one extension per template entry
         if derived is not None and len(derived[0]) <= len(template):
             return derived[0], True, derived[1]
         if factored is not None:
             shared, rests = factored
-            factored = _resolve((shared,), f)[0], _resolve(rests, f)
-        return _resolve(template, f), False, factored
+            factored = (_substitute((shared,), sides)[0],
+                        _substitute(rests, sides))
+        return _substitute(template, sides), False, factored
 
     def expansion_of(s, f):
         key = (s, f)

@@ -24,9 +24,9 @@ Two engines share this semantics:
 
 Both read a column's cell through one helper, _CellRule.split, which applies
 the restriction to the multioperation cell; a query's _Plan lists each
-column's cell rule and inputs, and the DP's four kinds of step table
-(column, pair, one-input run, and a run with its input column summed in)
-and value classes are derived from them.
+column's cell rule and inputs, and the DP's three kinds of step table
+(column, one-input run, and fused: a column summed into the step that alone
+reads it) and value classes are derived from them.
 
 Verdicts, live-row counts and countermodel existence are order-independent
 facts about the constraint system, so the two engines agree everywhere; the
@@ -76,9 +76,6 @@ class Valuation:
 
     def items(self):
         return self.assignment.items()
-
-    def atoms(self):
-        return {f: v for f, v in self.assignment.items() if f.kind == VAR}
 
     def render(self, only_atoms=False):
         pairs = sorted(self.assignment.items(), key=lambda kv: canonical_key(kv[0]))
@@ -181,25 +178,28 @@ class _CellRule:
             self.class_maps = tuple(maps)
         return self.class_maps[position]
 
-    def successor_table(self, is_prem, is_goal, survives, reps=None):
+    def successor_table(self, is_prem, is_goal, survives, reps):
         """The shared successor table of this kind of column in a role,
         kept in the state after its step or not, storing its value's class
-        under the class map `reps` (None keeps every value)."""
+        under the class map `reps`."""
         key = (is_prem, is_goal, survives, reps)
         table = self.successors.get(key)
         if table is None:
             table = self.successors[key] = _Successors(self, *key)
         return table
 
-    def pair_table(self, first, split, positions, reps):
-        """The shared pair table of a plain column of kind `first`, with
-        `split` inputs, read only by this kind of column, itself plain, at
-        `positions` of its inputs; the reader stores its value's class
-        under `reps`."""
+    def pair_table(self, first, split, positions, reps, first_reps):
+        """The shared fused table of a plain column of kind `first`, with
+        `split` inputs and class map `first_reps`, read only by this kind of
+        column, itself plain, at `positions` of its inputs; the reader
+        stores its value's class under `reps`.  first_reps is the meet of
+        this rule's maps at `positions`, so the key leaves it out."""
         key = (first, split, positions, reps)
         table = self.pairs.get(key)
         if table is None:
-            table = self.pairs[key] = _PairTable(first, split, positions, self, reps)
+            table = self.pairs[key] = _Fused(
+                first.successor_table(False, False, True, first_reps),
+                self.successor_table(False, False, True, reps), split, positions)
         return table
 
 
@@ -207,11 +207,13 @@ class _CellRules(dict):
     """The cell rules of one logic by (connective, conj hook, pow hook), and
     the logic's shared one-input runs.
 
-    runs maps a run's key (_run_key) to (steps, fills, sums): the run's own
-    steps (_run_program); their fills, x's class -> ((entries, pruned),
-    work), as _RunView makes them; and the sums of x into the run, x's cell
-    rule -> {x's inputs: ((entries, pruned), the classes of x read)}, as
-    _SumView makes them.  The steps follow from the key alone, the fills
+    The rules hold the shared column and pair tables, and runs the rest of
+    the DP's three kinds of step table (column, one-input run, fused): it
+    maps a run's key (_run_key) to (steps, fills, sums), the run's own steps
+    (_run_program), their fills, x's class -> ((entries, pruned), work), as
+    _RunView makes them, and the fused entries of x summed into the run, x's
+    cell rule -> {x's inputs: ((entries, pruned), the classes of x read)},
+    as _FusedRun makes them.  The steps follow from the key alone, the fills
     from the steps, and the sums from the fills and x's rule (a sum forms
     only where the run alone reads x, so the key fixes x's class map): the
     key that names a run's steps names its fills and sums too.  It holds at
@@ -468,7 +470,7 @@ class _Successors(dict):
         self.is_prem = is_prem
         self.is_goal = is_goal
         self.survives = survives
-        self.reps = rule.full_domain if reps is None else reps
+        self.reps = reps
 
     def __missing__(self, inputs):
         role = self.is_prem or self.is_goal
@@ -489,48 +491,56 @@ class _Successors(dict):
         return entry
 
 
-class _PairTable(dict):
-    """Successor table of a fused pair step, filled on first lookup.
+class _Fused(dict):
+    """Successor table of a fused step, filled on first lookup: a plain
+    column summed into the step that alone reads it, the next column (a
+    pair, `reader` its _Successors table) or a one-input run (_FusedRun).
 
-    The pair is a plain column (neither premise nor goal) whose only reader
-    is the next column, itself plain.  The table maps the pair's outside
-    inputs (the first column's inputs, then the reader's inputs at the
-    positions that do not read the first column) to (entries, pruned) as in
-    _Successors.  Entries are the reader's merged ((reps[v],), 1, (u, v))
-    triples over the first column's values u in cell order, then the
-    reader's, and pruned sums the cell values the restriction forbids in
-    both columns.  Both are read off the two columns' _Successors tables, the
-    first column's keeping every value; equal entries are one interned
-    object.
+    It maps the step's inputs (the column's `split` inputs, then the
+    reader's inputs at the positions that do not read the column) to
+    (entries, pruned).  Entries are the merged (tail, m1 * m2, (u,) +
+    values) over the column's entries ((c,), m1, (u,)) in cell order
+    (`column`, its _Successors table under its class map), then the
+    reader's entries (tail, m2, values) with c at `positions`; pruned is
+    the column's own count plus m1 times the reader's.  Only the reader
+    reads the column, so every value of a class gives it the same cell, and
+    the entries are those of summing the column out value by value.  A
+    pair's table is shared (_CellRule.pair_table), its equal entries one
+    interned object.
     """
 
-    __slots__ = ("first", "second", "split", "positions")
+    __slots__ = ("column", "reader", "split", "positions")
 
-    def __init__(self, first, split, positions, second, reps):
+    def __init__(self, column, reader, split, positions):
         super().__init__()
-        self.first = first.successor_table(False, False, True)
-        self.second = second.successor_table(False, False, True, reps)
+        self.column = column
+        self.reader = reader
         self.split = split
         self.positions = positions
 
-    def __missing__(self, inputs):
-        split, positions = self.split, self.positions
+    def compose(self, inputs):
+        """The entry at `inputs`, and the reader's inputs it read, in order."""
+        split, positions, reader = self.split, self.positions, self.reader
         width = len(inputs) - split + len(positions)
-        firsts, pruned = self.first[inputs[:split]]
-        triples = []
-        for _, first_mult, (u,) in firsts:
+        firsts, pruned = self.column[inputs[:split]]
+        triples, read = [], []
+        for (c,), m1, (u,) in firsts:
             rest = iter(inputs[split:])
-            succ, npruned = self.second[tuple(
-                u if k in positions else next(rest) for k in range(width))]
-            pruned += npruned
-            triples += [(tail, first_mult * mult, (u, v))
-                        for tail, mult, (v,) in succ]
-        entry = (_merged(triples), pruned)
+            key = tuple(c if k in positions else next(rest) for k in range(width))
+            entries, npruned = reader[key]
+            read.append(key)
+            pruned += m1 * npruned
+            triples += [(tail, m1 * m2, (u,) + values)
+                        for tail, m2, values in entries]
+        return (_merged(triples), pruned), tuple(read)
+
+    def __missing__(self, inputs):
+        entry, _ = self.compose(inputs)
         entry = self[inputs] = _pair_entries.setdefault(entry, entry)
         return entry
 
 
-# One copy of each distinct pair-table entry: a few dozen values serve
+# One copy of each distinct pair entry (_Fused): a few dozen values serve
 # thousands of entries.
 _pair_entries = {}
 
@@ -538,15 +548,16 @@ _pair_entries = {}
 class _RunView(dict):
     """Successor table of a one-input run, as one decide call sees it.
 
-    A run is a block of plain columns whose only outside input is one
-    column x (see _runs).  The table maps x's class to (entries, pruned).
-    Its fill runs the run's own steps, column and pair steps only, from the
-    state (x's class,) with count 1 (_forward).  Each state of the last
-    frontier, the class of the run's last column, is a tail; its
-    multiplicity is the state's count and its values are those of the
-    first path to it in frontier order (_walk), one per column of the run.
-    pruned is the path-weighted count of the cell values the restriction
-    forbids.
+    One of the DP's three kinds of step table (column, one-input run,
+    fused).  A run is a block of plain columns whose only outside input is
+    one column x (see _runs).  The table maps x's class to (entries,
+    pruned).  Its fill runs the run's own steps, which read column and pair
+    tables only, from the state (x's class,) with count 1 (_forward).  Each
+    state of the last frontier, the class of the run's last column, is a
+    tail; its multiplicity is the state's count and its values are those of
+    the first path to it in frontier order (_walk), one per column of the
+    run.  pruned is the path-weighted count of the cell values the
+    restriction forbids.
 
     The fill depends on the run's steps alone, so it is stored in `fills`,
     the logic's fills of the run, named by the key that names its steps
@@ -557,9 +568,9 @@ class _RunView(dict):
     filled here, the fill charges it as it goes, and a fill that trips the
     cap stores nothing; read from `fills`, the stored work is charged at
     once.  So a call's work, cap trip and results do not depend on what the
-    process decided before.  The step is the run's own, or the step of the
-    column x summed into the run (_SumView), which reads the run through
-    this view too.
+    process decided before.  The step is the run's own, or the fused step
+    of the column x summed into the run (_FusedRun), which reads the run
+    through this view too.
     """
 
     __slots__ = ("steps", "fills", "budget")
@@ -586,51 +597,34 @@ class _RunView(dict):
         return entry
 
 
-class _SumView(dict):
-    """Successor table of a column x summed into the one-input run over it,
-    as one decide call sees it.
+class _FusedRun(_Fused):
+    """The fused table of a column x summed into the one-input run over it,
+    as one decide call sees it: the reader is the call's _RunView, read at
+    x's class alone (split is x's input count, positions (0,)).
 
-    x is plain and read by the run alone, so it never gets a slot.  The
-    table maps x's inputs to (entries, pruned).  Entries are the merged
-    (tail, m1 * m2, (u,) + values) over x's entries ((c,), m1, (u,)) in cell
-    order (`column`, x's _Successors table under its class map), then the
-    run's entries (tail, m2, values) at (c,); pruned is x's own count plus
-    m1 times the run's at (c,).
-
-    They depend on x's cell rule and the run's steps alone (the run's key
-    fixes x's class map, since only the run reads x), so they are stored in
-    `sums`, the run entry's table for x's rule (_CellRules.runs), with the
-    classes they read.  The first lookup of inputs in a call reads each of
-    those classes through `run`, the call's _RunView, so the fills' work is
-    charged, and the cap trips, as if the call summed them itself.  A fill
-    that trips the cap stores neither itself nor the sum.
+    Its entries depend on x's cell rule and the run's steps alone (the run's
+    key fixes x's class map, since only the run reads x), so they are stored
+    in `sums`, the run entry's table for x's rule (_CellRules.runs), with
+    the classes they read, and not interned.  The first lookup of inputs in
+    a call reads each of those classes through the view, so the fills' work
+    is charged, and the cap trips, as if the call summed them itself.  A
+    fill that trips the cap stores neither itself nor the sum.
     """
 
-    __slots__ = ("column", "run", "sums")
+    __slots__ = ("sums",)
 
-    def __init__(self, column, run, sums):
-        super().__init__()
-        self.column = column
-        self.run = run
+    def __init__(self, column, run, split, sums):
+        super().__init__(column, run, split, (0,))
         self.sums = sums
 
     def __missing__(self, inputs):
-        run, stored = self.run, self.sums.get(inputs)
+        stored = self.sums.get(inputs)
         if stored is None:
-            firsts, pruned = self.column[inputs]
-            triples = []
-            for tail, first_mult, (u,) in firsts:
-                entries, npruned = run[tail]
-                pruned += first_mult * npruned
-                triples += [(run_tail, first_mult * mult, (u,) + values)
-                            for run_tail, mult, values in entries]
-            entry = (_merged(triples), pruned)
-            self.sums[inputs] = (entry, tuple(tail for tail, _, _ in firsts))
+            stored = self.sums[inputs] = self.compose(inputs)
         else:
-            entry, classes = stored
-            for tail in classes:
-                run[tail]
-        self[inputs] = entry
+            for key in stored[1]:
+                self.reader[key]
+        entry = self[inputs] = stored[0]
         return entry
 
 
@@ -764,13 +758,15 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
     were appended, so a slot's position in the state is its index there.
     A step runs as (table, input getter, getter of the kept slots), each
     getter reading its positions in the state entering the step.  A step
-    covers one column, a pair, a run of `runs`, or a run with the column x
-    before it, which the run alone reads, summed in (_SumView); a run's
-    per-call view (_RunView) charges `budget`.  A run's steps, fills and
-    sums are looked up in the logic's runs by what the run reads
-    (_run_entry), and its steps built only when that key is new.  A pair
-    takes x when only the run's first column reads it: summing x into the
-    run there lowers the total work, but raised it by 1-4 on four small
+    reads one of three kinds of table: a column table (_Successors); a
+    one-input run table, for a run of `runs` (_RunView); or a fused table,
+    for a plain column summed into the step that alone reads it, the next
+    column, itself plain (a pair, _Fused), or the run after it, whose x it
+    is (_FusedRun).  A run's per-call view charges `budget`.  A run's
+    steps, fills and sums are looked up in the logic's runs by what the run
+    reads (_run_entry), and its steps built only when that key is new.  A
+    pair takes x when only the run's first column reads it: summing x into
+    the run there lowers the total work, but raised it by 1-4 on four small
     mbCcl and Cila goals of the benchmark's seed-7 blocks, where the run's
     fills cost more than the pair's merged classes save.  `last` is
     plan.last, or in a run's own steps the run's last readers.  Only a
@@ -796,7 +792,8 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
             reader, reader_srcs = plan.entries[j]
             positions = tuple(k for k, s in enumerate(reader_srcs) if s == i)
             reads = srcs + tuple(s for s in reader_srcs if s != i)
-            table = reader.pair_table(rule, len(srcs), positions, reps[j])
+            table = reader.pair_table(rule, len(srcs), positions, reps[j],
+                                      reps[i])
         elif (i + 1 in runs and runs[i + 1][1] == i and not role
               and last[i] <= runs[i + 1][0]
               and any(p != _FLAG and last[p] > i for p in alive)):
@@ -805,9 +802,9 @@ def _steps(plan, lo, hi, alive, last, runs, budget):
             j = runs[i + 1][0]
             reads = srcs
             run_steps, fills, sums = _run_entry(plan, i + 1, runs[i + 1], last)
-            table = _SumView(rule.successor_table(False, False, True, reps[i]),
-                             _RunView(run_steps, fills, budget),
-                             sums.setdefault(rule, {}))
+            table = _FusedRun(rule.successor_table(False, False, True, reps[i]),
+                              _RunView(run_steps, fills, budget), len(srcs),
+                              sums.setdefault(rule, {}))
         else:
             j = i
             reads = srcs + (_FLAG,) if role else srcs
@@ -887,41 +884,42 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
 
     Every step looks up its input slots in a table and gets (tail, mult,
     values) entries: the state's kept slots plus each tail make a
-    successor, reached mult times per row.  A step is one column (see
-    _Successors), where a premise or goal column also reads the flag and
-    appends its new value; or a pair (see _PairTable): a plain column whose
-    only reader is the next column, itself plain, is summed out with that
-    reader and never gets a slot, so the values of a tower level's ~y,
-    which the restriction collapses again at y & ~y, never widen a
-    frontier.  Both tables are shared by every query with the same logic
-    and column kinds, filled only at the inputs reached.  Or the step is a
-    one-input run (see _runs, _RunView): a block of at least three plain
+    successor, reached mult times per row.  A step reads one of three kinds
+    of table.  A column table (_Successors) covers one column; a premise or
+    goal column also reads the flag and appends its new value.  A one-input
+    run table (_runs, _RunView) covers a block of at least three plain
     columns that depend on one earlier column x alone, read nothing else
     from outside, and but for the last are read only inside the block, such
-    as the tower x^1, ..., x^(n) over its base.  Its table maps x's class to
-    the run's last column's classes, filled per class by the same steps and
-    forward loop (_forward) from the state (x's class,).  Steps and fills
-    are shared by every query of the logic whose run reads alike: its
-    cells, the offsets at which they read, and its last column's class map
-    (_run_key), which name one entry of at most MAX_RUNS per logic
-    (_CellRules.runs); a run whose key the logic holds builds no step.
-    That is exact: no column outside the run reads its interior, and x's
-    slot already holds the meet of all its readers' classes, the run's
-    among them, so every value of the class gives the run the same cells.
-    The call sees the fills through a view of its own that charges a fill's
-    work on the call's first lookup of the class, so work and the max_work
-    trip are those of a fresh process.
-    A run is taken only where the state entering it holds a slot besides x
-    and the flag, which plain steps would carry through every column of the
-    block; elsewhere it could only lose the merging of x's classes after
-    x's last reader.  The fourth step is such a run with x summed in (see
-    _SumView): where x is the column just before the run, plain, read by
-    the run alone and not only by its first column (a pair takes that x),
-    x's step and the run's are one, keyed by x's inputs, so x's classes,
-    which the run maps to its last column's anyway, never make a frontier;
-    the tower (A & B)^(n) over a compound A & B is one.  Its entries are
-    shared in the run's entry too, and a call charges the fills they read
-    as the run step does.
+    as the tower x^1, ..., x^(n) over its base.  It maps x's class to the
+    run's last column's classes, filled per class by the same steps and
+    forward loop (_forward) from the state (x's class,).  A fused table
+    (_Fused) covers a plain column summed into the step that alone reads it
+    (bucket elimination), so the column never gets a slot.  The reader is
+    the next column, itself plain (a pair), so the values of a tower level's
+    ~y, which the restriction collapses again at y & ~y, never widen a
+    frontier; or it is the run just after the column, its x, where x is not
+    read only by the run's first column (a pair takes that x) and the run
+    is taken (see below), so x's classes, which the run maps to its last
+    column's anyway, never make a frontier (_FusedRun); the tower
+    (A & B)^(n) over a compound A & B is one.  Either way the column is read under its class map and the reader
+    once per class, which is exact, since the reader alone decides the map.
+
+    Column and pair tables are shared by every query with the same logic and
+    column kinds, filled only at the inputs reached.  A run's steps, fills
+    and fused entries are shared by every query of the logic whose run reads
+    alike: its cells, the offsets at which they read, and its last column's
+    class map (_run_key), which name one entry of at most MAX_RUNS per logic
+    (_CellRules.runs); a run whose key the logic holds builds no step.  That
+    is exact: no column outside the run reads its interior, and x's slot
+    already holds the meet of all its readers' classes, the run's among
+    them, so every value of the class gives the run the same cells.  The
+    call sees the fills through a view of its own that charges a fill's
+    work on the call's first lookup of the class, whether it reads the run
+    directly or through x's fused entries, so work and the max_work trip are
+    those of a fresh process.  A run is taken only where the state entering
+    it holds a slot besides x and the flag, which plain steps would carry
+    through every column of the block; elsewhere it could only lose the
+    merging of x's classes after x's last reader.
 
     The frontier entering every step is kept.  The countermodel is walked
     back from the final state (_VIOLATED,) (_walk): at each step it takes
@@ -939,10 +937,10 @@ def decide(logic, goal, premises=(), max_work=DEFAULT_MAX_WORK):
     states of the frontiers the steps expand (work), a run's own frontiers
     included once per class of x but for their first state, which the step
     that reads the run has counted, whether the call filled the class or
-    found it filled; a summed-out column (a pair's first, or a run's input
-    x summed into the run) adds none, and the values of one class make one
-    state.  Raises ResourceLimitError as soon as `work` would exceed
-    `max_work`; stored fills change neither whether nor where it trips.
+    found it filled; a fused step's summed column (a pair's first, or a
+    run's input x) adds none, and the values of one class make one state.
+    Raises ResourceLimitError as soon as `work` would exceed `max_work`;
+    stored fills change neither whether nor where it trips.
     """
     start = time.perf_counter()
     premises = tuple(premises)

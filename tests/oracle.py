@@ -17,6 +17,9 @@ tables and no fused steps: the figures `truthtable.decide` must reproduce.
 reference_classes derives a cell rule's class maps with every hook input
 ranging over the whole domain: the maps `_CellRule.classes` must give.
 
+reference_pair_entry sums a pair's first column out value by value, with
+no class map on it: the entries `truthtable`'s fused pair tables must hold.
+
 reference_derived_raw and reference_derived_set derive the tableau's tower
 rules formula by formula and label by label, rebuilding each chain with
 `pow`: the rules that `tableau`'s per-logic tables must give once their
@@ -205,6 +208,33 @@ def reference_classes(rule):
         maps.append(tuple(reps))
         domains[k] = tuple(first.values())
     return tuple(maps)
+
+
+def reference_pair_entry(first, split, positions, reader, reps, inputs):
+    """The (entries, pruned) of a fused pair step at `inputs`, summed out
+    value by value: for every live value u of the first column (the
+    _CellRule `first`, with `split` inputs), in cell order, the reader's
+    live values v at its inputs with u at `positions`, each giving the tail
+    (reps[v],) with multiplicity 1 and values (u, v).  Equal tails merge in
+    order of first appearance, adding their multiplicities and keeping
+    their first values; pruned adds up both columns' forbidden values."""
+    live, pruned = first.split(inputs[:split])
+    pruned = len(pruned)
+    width = len(inputs) - split + len(positions)
+    merged = {}
+    for u in live:
+        rest = iter(inputs[split:])
+        cell, forbidden = reader.split(tuple(
+            u if k in positions else next(rest) for k in range(width)))
+        pruned += len(forbidden)
+        for v in cell:
+            tail = (reps[v],)
+            if tail in merged:
+                merged[tail][0] += 1
+            else:
+                merged[tail] = [1, (u, v)]
+    return tuple((tail, mult, values)
+                 for tail, (mult, values) in merged.items()), pruned
 
 
 def reference_derived_raw(logic, label, f):

@@ -45,10 +45,10 @@ from dacosta.tableau import (
     _note_partner,
     _pow_chain_step,
     _prefilter,
-    _resolve,
     _restrict,
     _rule_table,
     _set_rule,
+    _substitute,
 )
 from dacosta.errors import ExtensionError
 from dacosta.formula import (AND, CONS, IMP, NEG, OR, ordered_subformulas,
@@ -812,10 +812,10 @@ class TestLabelSets:
         # C1 t(q & q): both boxes of t(&) leave q the label t.
         exts, _ = _set_rule("C", 1, AND, t)
         assert len(exts) == 2
-        assert _merge_pairs(_resolve(exts, And(Q, Q))) == (((Q, t),),)
+        assert _merge_pairs(_substitute(exts, (Q, Q))) == (((Q, t),),)
         # C1 F(q -> q) wants q designated and false: no extension is left.
         exts, _ = _set_rule("C", 1, IMP, F)
-        assert _merge_pairs(_resolve(exts, Imp(Q, Q))) == ()
+        assert _merge_pairs(_substitute(exts, (Q, Q))) == ()
 
     def test_same_formula_split_clones_nothing(self):
         # Per-label rules on s -> s made a survivor that cloned the branch

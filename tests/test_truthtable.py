@@ -13,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_formulas, random_corpus, row_assignment
-from oracle import oracle_rows, reference_classes, reference_decide
+from oracle import (oracle_rows, reference_classes, reference_decide,
+                    reference_pair_entry)
 
 from dacosta import axioms, truthtable
 from dacosta.algebra import (
@@ -91,7 +92,7 @@ def sum_lookups(monkeypatch):
     them while the test runs: one per such step and input of the column in
     each decide call, whether the run's entry held the sum or it was summed
     then."""
-    return lookups(monkeypatch, truthtable._SumView)
+    return lookups(monkeypatch, truthtable._FusedRun)
 
 
 class TestFlagshipTable:
@@ -450,7 +451,8 @@ class TestSuccessorTables:
                 inputs = tuple(values[s] for s in srcs)
                 live, pruned = plan.candidates(j, values)
                 for is_prem, is_goal, survives in TABLE_KINDS:
-                    table = rule.successor_table(is_prem, is_goal, survives)
+                    table = rule.successor_table(is_prem, is_goal, survives,
+                                                 rule.full_domain)
                     flags = range(6) if is_prem or is_goal else (None,)
                     for key in (inputs if flag is None else inputs + (flag,)
                                 for flag in flags):
@@ -806,6 +808,34 @@ class TestPairSteps:
         assert len(by_value) < sum(map(len, first.values()))
 
 
+    def test_entries_match_value_by_value_sums(self):
+        # A pair reads its first column under that column's class map, and
+        # the reader once per class; every entry filled over the golden
+        # corpus and the tower goals must be the one that summing the
+        # column out value by value gives.
+        golden = json.loads(GOLDEN.read_text())["queries"]
+        cases = [(lg, f, ()) for lg, f in tower_instances()] + \
+            tower_goals(320, 77)
+        for q in golden:
+            lg = parse_logic(q["logic"])
+            cases.append((lg, parse(q["goal"], lg),
+                          tuple(parse(p, lg) for p in q["premises"])))
+        truthtable._cell_rules.cache_clear()
+        for case in cases:
+            decide(*case)
+        checked = merged = 0
+        for lg in {lg for lg, _, _ in cases}:
+            for rule in truthtable._cell_rules(lg).values():
+                for (first, split, positions, reps), table in rule.pairs.items():
+                    merged += len(set(table.column.reps)) < len(first.full_domain)
+                    for inputs, entry in table.items():
+                        assert entry == reference_pair_entry(
+                            first, split, positions, rule, reps, inputs), \
+                            (lg.name, inputs)
+                        checked += 1
+        assert checked > 1000 and merged > 0
+
+
 TOWER_LOGICS = [C1, C2, C3, C4, C(5), MBCCL, CILA]
 
 
@@ -1035,6 +1065,31 @@ class TestOneInputRuns:
             assert got == dict(want, work=work)
             assert not got["entailed"]
             assert check_valuation(lg, got["countermodel"]) == []
+
+    def test_summed_runs_are_not_interned(self):
+        # A column summed into a run keeps its entries in the run's entry,
+        # which goes with the run; interned, they would stay in the
+        # process-wide pair entries for good, one set per run a batch meets.
+        p, q, r = Var("p"), Var("q"), Var("r")
+        goal = Imp(q, Imp(powseq(And(p, r), 3), r))
+        cases = [(C2, goal, ()), (C3, goal, ())] + \
+            [(lg, f, ()) for lg, f in tower_instances()] + tower_goals(320, 77)
+        truthtable._cell_rules.cache_clear()
+        before = len(truthtable._pair_entries)
+        for case in cases:
+            decide(*case)
+        rules = [truthtable._cell_rules(lg) for lg in {lg for lg, _, _ in cases}]
+        summed = [entry for held in rules
+                  for _, _, sums in held.runs.values()
+                  for entries in sums.values()
+                  for entry, _ in entries.values()]
+        pairs = {id(entry) for held in rules for rule in held.values()
+                 for table in rule.pairs.values() for entry in table.values()}
+        assert summed
+        assert all(truthtable._pair_entries.get(entry) is not entry
+                   for entry in summed)
+        assert all(id(entry) in pairs
+                   for entry in list(truthtable._pair_entries)[before:])
 
     def test_shared_tables_are_bounded(self, monkeypatch):
         # More runs than the bound: the least recently used go with their
